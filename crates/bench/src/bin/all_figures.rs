@@ -1,7 +1,7 @@
-//! Regenerates every table and figure of the paper in sequence, then
-//! writes `BENCH_sweep.json` — the harness's own performance artifact:
-//! wall-clock, runs, and simulation events/s per figure, plus the sweep
-//! worker count, per-figure speedup over a serial baseline, and
+//! Regenerates every registered figure (`bench::figures::ALL`) in order,
+//! then writes `BENCH_sweep.json` — the harness's own performance
+//! artifact: wall-clock, runs, and simulation events/s per figure, plus the
+//! sweep worker count, per-figure speedup over a serial baseline, and
 //! (optionally) a per-jobs speedup curve from a fixed probe sweep.
 //!
 //! Environment:
@@ -53,27 +53,9 @@ struct CurvePoint {
 
 fn main() {
     let opts = bench::Opts::from_args();
-    type Fig = (&'static str, fn(&bench::Opts));
-    let figures: [Fig; 14] = [
-        ("table1", bench::figures::table1::run_figure),
-        ("fig2", bench::figures::fig2::run_figure),
-        ("fig6", bench::figures::fig6::run_figure),
-        ("fig7", bench::figures::fig7::run_figure),
-        ("fig8", bench::figures::fig8::run_figure),
-        ("fig9", bench::figures::fig9::run_figure),
-        ("fig10", bench::figures::fig10::run_figure),
-        ("fig11", bench::figures::fig11::run_figure),
-        ("fig12", bench::figures::fig12::run_figure),
-        ("fig13", bench::figures::fig13::run_figure),
-        ("fig14", bench::figures::fig14::run_figure),
-        ("ext_baselines", bench::figures::ext_baselines::run_figure),
-        ("ext_virtio", bench::figures::ext_virtio::run_figure),
-        ("ext_breakdown", bench::figures::ext_breakdown::run_figure),
-    ];
-
     let started = Instant::now();
-    let mut stats = Vec::with_capacity(figures.len());
-    for (name, run_figure) in figures {
+    let mut stats = Vec::with_capacity(bench::figures::ALL.len());
+    for &(name, run_figure) in bench::figures::ALL {
         let (runs0, events0) = bench::sweep::counters();
         let t0 = Instant::now();
         run_figure(&opts);

@@ -1,10 +1,9 @@
-//! The one command line every figure binary speaks.
+//! The one command line both figure binaries speak.
 //!
-//! Each binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation, and all of them parse their arguments through
-//! [`Opts::from_args`]: the same flags mean the same thing everywhere,
-//! and *unknown flags exit 2 with usage* in every binary, not just
-//! `all_figures`.
+//! `fig NAME` regenerates one artifact of the paper's evaluation and
+//! `all_figures` regenerates all of them; both parse their flags through
+//! [`Opts::parse`]: the same flags mean the same thing everywhere, and
+//! *unknown flags exit 2 with usage*.
 //!
 //! ```text
 //! --quick            reduced durations (CI/smoke scale)
@@ -160,14 +159,16 @@ impl Opts {
     }
 
     /// Parses options from the process arguments. Genuinely unknown
-    /// arguments are an error (exit 2), not a warning — uniformly, in
-    /// every figure binary.
+    /// arguments are an error (exit 2), not a warning.
     pub fn from_args() -> Self {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         Self::parse(&argv)
     }
 
-    fn parse(argv: &[String]) -> Self {
+    /// Parses options from `argv` (the arguments after the program name,
+    /// and after the figure name for `fig`); exits 2 with usage on an
+    /// unknown or malformed flag.
+    pub fn parse(argv: &[String]) -> Self {
         let mut opts = Opts::new(false, false, 0);
         let mut jobs: Option<usize> = None;
         let bad = |msg: String| -> ! {

@@ -16,7 +16,7 @@
 //! Like every figure, the output is byte-identical for `--jobs 1` and
 //! `--jobs N` (gated by `scripts/verify.sh`). The `--policy` CLI flag is
 //! deliberately *not* consulted here — this figure sweeps all policies by
-//! construction; use the flag with the other figure binaries to A/B a
+//! construction; use the flag with any other figure (`fig NAME`) to A/B a
 //! single policy there.
 
 use daredevil::PolicySpec;

@@ -61,7 +61,7 @@ pub fn run_figure(opts: &Opts) {
             fmt_f(l_iops / bl_iops.max(1e-9)),
             fmt_f(t_tput / bl_tput.max(1e-9)),
             fmt_f(cpu / bl_cpu.max(1e-9)),
-            format!("{}", out.troute_reassignments),
+            format!("{}", out.route_stats.reassignments),
         ]);
     }
     opts.emit(&table);

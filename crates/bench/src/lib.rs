@@ -1,9 +1,10 @@
 //! Shared machinery of the figure/table harness.
 //!
-//! Every binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md §3 for the index). They share:
+//! [`figures::ALL`] registers every artifact of the paper's evaluation
+//! (see DESIGN.md §3 for the index). `fig NAME` regenerates one of them and
+//! `all_figures` the whole registry. They share:
 //!
-//! * [`cli::Opts`] — the one command line every binary speaks: `--quick`,
+//! * [`cli::Opts`] — the one command line both binaries speak: `--quick`,
 //!   `--csv`, `--jobs N`, `--seed N`, and the span-trace flags
 //!   (`--trace [PHASES]`, `--trace-out PATH`, `--trace-cap N`), with
 //!   unknown flags exiting 2 with usage everywhere;

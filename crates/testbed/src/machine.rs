@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use blkstack::blkmq::VanillaBlkMq;
-use blkstack::stack::{StackEnv, StackStats, StorageStack};
+use blkstack::stack::{StackEnv, StorageStack};
 use blkstack::{Bio, BioCompletion, BioId, IoPriorityClass, Pid, TaskStruct};
 use blkswitch::BlkSwitchStack;
 use daredevil::DaredevilStack;
@@ -142,28 +142,14 @@ impl StackHolder {
         }
     }
 
-    fn stats(&self) -> StackStats {
+    fn as_dyn_ref(&self) -> &dyn StorageStack {
         match self {
-            StackHolder::Vanilla(s) => s.stats(),
-            StackHolder::BlkSwitch(s) => s.stats(),
-            StackHolder::Overprov(s) => s.stats(),
-            StackHolder::Daredevil(s) => s.stats(),
-            StackHolder::Virtio(s) => s.stats(),
+            StackHolder::Vanilla(s) => s,
+            StackHolder::BlkSwitch(s) => s,
+            StackHolder::Overprov(s) => s,
+            StackHolder::Daredevil(s) => s,
+            StackHolder::Virtio(s) => s,
         }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            StackHolder::Vanilla(s) => s.name(),
-            StackHolder::BlkSwitch(s) => s.name(),
-            StackHolder::Overprov(s) => s.name(),
-            StackHolder::Daredevil(s) => s.name(),
-            StackHolder::Virtio(s) => s.name(),
-        }
-    }
-
-    fn troute_reassignments(&self) -> u64 {
-        self.route_stats().reassignments
     }
 
     fn route_stats(&self) -> daredevil::RouteStats {
@@ -1025,7 +1011,7 @@ impl Machine {
                 .busy_fractions(self.window_start, &self.cpu_baseline, window_end)
         };
         let summary = RunSummary {
-            stack: self.stack.name().to_string(),
+            stack: self.stack.as_dyn_ref().name().to_string(),
             window_start: self.window_start,
             window_end,
             tenants: self
@@ -1041,7 +1027,7 @@ impl Machine {
         // wrapped mid-run.
         let sink = std::mem::take(&mut self.dev_out.trace);
         let trace_dropped = sink.dropped();
-        let stack_stats = self.stack.stats();
+        let stack_stats = self.stack.as_dyn_ref().stats();
         let dev_faults = self.device.fault_stats();
         let fault = dd_metrics::FaultRecovery {
             spikes_applied: dev_faults.spikes_applied,
@@ -1068,7 +1054,6 @@ impl Machine {
             op_latencies: self.op_lat,
             flash_queue_delay: self.device.flash().avg_queue_delay(),
             events_processed: self.events_processed,
-            troute_reassignments: self.stack.troute_reassignments(),
             route_stats: self.stack.route_stats(),
             fault,
         };
@@ -1301,9 +1286,9 @@ mod tests {
         s.ionice_storm = Some(SimDuration::from_millis(2));
         let out = crate::run(s);
         assert!(
-            out.troute_reassignments > 5,
+            out.route_stats.reassignments > 5,
             "storm must force reassignments, got {}",
-            out.troute_reassignments
+            out.route_stats.reassignments
         );
     }
 

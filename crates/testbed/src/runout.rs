@@ -51,8 +51,6 @@ pub struct RunOutput {
     pub flash_queue_delay: SimDuration,
     /// Total simulator events processed.
     pub events_processed: u64,
-    /// troute reassignment count (Fig. 14; 0 for non-Daredevil stacks).
-    pub troute_reassignments: u64,
     /// Full troute routing-path counters (default/outlier/query splits;
     /// all zero for non-Daredevil stacks). The ext_policy figure uses
     /// these to show *how* each policy routed, not only how it performed.

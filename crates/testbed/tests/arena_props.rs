@@ -64,7 +64,10 @@ fn digest(out: &RunOutput) -> String {
     writeln!(
         d,
         "events={} trace_dropped={} reassign={} flash_qd={:?}",
-        out.events_processed, out.trace_dropped, out.troute_reassignments, out.flash_queue_delay
+        out.events_processed,
+        out.trace_dropped,
+        out.route_stats.reassignments,
+        out.flash_queue_delay
     )
     .unwrap();
     writeln!(d, "stack={:?}", out.stack_stats).unwrap();

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Hermetic verification gate for the Daredevil reproduction.
 #
-# Runs tier-1 (release build + full test suite) plus the smoke-scale bench
-# sweep, all with network access forbidden: the workspace has zero external
-# dependencies (see dd-check, DESIGN.md §6), so an empty cargo registry
-# cache must suffice. Any attempt to hit the network is a regression and
-# fails the run.
+# Runs tier-1 (release build + full test suite), the micro-bench smoke run
+# and the figure gates, all with network access forbidden: the workspace
+# has zero external dependencies (see dd-check, DESIGN.md §6), so an empty
+# cargo registry cache must suffice. Any attempt to hit the network is a
+# regression and fails the run.
 #
 # Usage: scripts/verify.sh [--full]
-#   --full   also run the full quick-scale figure sweep and micro benches
-#            at full sample counts (slower; default is the smoke subset).
+#   --full   run the micro benches at full sample counts (slower; default
+#            is the smoke sample count).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -39,40 +39,40 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "  cargo doc --no-deps: clean under -D warnings"
 
 if [ "$FULL" = "1" ]; then
-    echo "== verify: full quick-scale bench sweep =="
+    echo "== verify: micro benches (full sample counts) =="
     cargo bench -p bench
 else
-    echo "== verify: smoke-scale bench sweep =="
+    echo "== verify: micro benches (smoke sample counts) =="
     cargo bench -p bench -- --smoke
 fi
 
 echo "== verify: parallel sweep determinism (jobs=1 vs jobs=N) =="
 # The sweep executor must make --jobs N byte-identical to --jobs 1 on
-# stdout. Serial first (its wall-clock becomes the speedup baseline in
-# the parallel run's BENCH_sweep.json), then parallel, then diff.
+# stdout, for every figure in the registry (bench::figures::ALL). Serial
+# first (its wall-clock becomes the speedup baseline in the parallel run's
+# artifact), then parallel, then diff. Both artifacts go to temp files:
+# the tracked BENCH_sweep.json is the committed throughput reference and
+# is only read here.
 JOBS_N="${DD_JOBS:-$(nproc 2>/dev/null || echo 4)}"
 [ "$JOBS_N" -lt 2 ] && JOBS_N=4
-# Committed tracing-off throughput baseline, read before the fresh runs
-# overwrite the artifact (used by the trace-overhead check below).
+# Committed tracing-off throughput baseline and the figures it was
+# measured over (used by the throughput floor below).
 BASE_EPS="$(sed -n 's/^  "events_per_s": \([0-9.]*\),$/\1/p' BENCH_sweep.json | head -1)"
+BASE_FIGS="$(sed -n 's/^    {"name": "\([a-z0-9_]*\)".*/\1/p' BENCH_sweep.json | tr '\n' ' ')"
 SERIAL_OUT="$(mktemp)"
 PAR_OUT="$(mktemp)"
+SERIAL_JSON="$(mktemp)"
+PAR_JSON="$(mktemp)"
 TRACE_1="$(mktemp)"
 TRACE_N="$(mktemp)"
 EXT_1="$(mktemp)"
 EXT_N="$(mktemp)"
-HOS_1="$(mktemp)"
-HOS_N="$(mktemp)"
-POL_1="$(mktemp)"
-POL_N="$(mktemp)"
-FLE_1="$(mktemp)"
-FLE_N="$(mktemp)"
-trap 'rm -f "$SERIAL_OUT" "$PAR_OUT" "$TRACE_1" "$TRACE_N" "$EXT_1" "$EXT_N" "$HOS_1" "$HOS_N" "$POL_1" "$POL_N" "$FLE_1" "$FLE_N" BENCH_sweep_serial.json' EXIT
-DD_BENCH_SWEEP=BENCH_sweep_serial.json \
+trap 'rm -f "$SERIAL_OUT" "$PAR_OUT" "$SERIAL_JSON" "$PAR_JSON" "$TRACE_1" "$TRACE_N" "$EXT_1" "$EXT_N"' EXIT
+DD_BENCH_SWEEP="$SERIAL_JSON" \
     ./target/release/all_figures --quick --csv --jobs 1 >"$SERIAL_OUT" 2>/dev/null
-BASE_WALL="$(sed -n 's/.*"total_wall_s": \([0-9.]*\),.*/\1/p' BENCH_sweep_serial.json)"
-DD_BENCH_SWEEP=BENCH_sweep.json DD_BASELINE_WALL_S="$BASE_WALL" \
-    DD_BASELINE_ARTIFACT=BENCH_sweep_serial.json DD_BENCH_CURVE="1,2,4" \
+BASE_WALL="$(sed -n 's/.*"total_wall_s": \([0-9.]*\),.*/\1/p' "$SERIAL_JSON")"
+DD_BENCH_SWEEP="$PAR_JSON" DD_BASELINE_WALL_S="$BASE_WALL" \
+    DD_BASELINE_ARTIFACT="$SERIAL_JSON" DD_BENCH_CURVE="1,2,4" \
     DD_FLEET_PROBE=1 \
     ./target/release/all_figures --quick --csv --jobs "$JOBS_N" >"$PAR_OUT" 2>/dev/null
 if ! diff -q "$SERIAL_OUT" "$PAR_OUT" >/dev/null; then
@@ -82,31 +82,31 @@ if ! diff -q "$SERIAL_OUT" "$PAR_OUT" >/dev/null; then
 fi
 echo "  jobs=1 vs jobs=$JOBS_N: byte-identical stdout"
 sed -n 's/^  "\(total_wall_s\|speedup_vs_serial\|events_per_s\|jobs\)": \(.*\),$/  \1 = \2/p' \
-    BENCH_sweep.json
+    "$PAR_JSON"
 # Speedup is recorded, not gated: single-core CI hosts cannot speed up
 # (the sweep executor clamps to the inline serial loop there).
 echo "  per-jobs speedup curve (probe sweep; recorded, not gated):"
 sed -n 's/^    {"jobs": \([0-9]*\), "wall_s": \([0-9.]*\), "events_per_s": \([0-9.]*\), "speedup_vs_serial": \([0-9.]*\)}.*/    jobs=\1  wall=\2s  events\/s=\3  speedup=\4/p' \
-    BENCH_sweep.json
+    "$PAR_JSON"
 echo "  per-figure speedup_vs_serial at jobs=$JOBS_N:"
 sed -n 's/^    {"name": "\([a-z0-9_]*\)".*"speedup_vs_serial": \([0-9.]*\)}.*/    \1 = \2/p' \
-    BENCH_sweep.json
+    "$PAR_JSON"
 echo "  fleet probe (serial 4-host daredevil fleet, events/s by tenancy scale):"
 sed -n 's/^    {"tenants": \([0-9]*\), "wall_s": \([0-9.]*\), "events": \([0-9]*\), "events_per_s": \([0-9.]*\)}.*/    tenants=\1  wall=\2s  events\/s=\4/p' \
-    BENCH_sweep.json
+    "$PAR_JSON"
 
 echo "== verify: figure outputs match the golden capture =="
-# The zero-allocation request-lifecycle port (slab ids, dense tenant
-# tables, recycled scratch) is a pure mechanism change: every figure must
-# stay byte-identical to the committed pre-port capture.
+# Mechanism changes must keep every registered figure byte-identical to
+# the committed capture of the whole registry.
 if ! diff -q tests/golden/all_figures_quick.csv "$SERIAL_OUT" >/dev/null; then
     echo "verify: FAILED — figure outputs diverge from tests/golden/all_figures_quick.csv:" >&2
     diff tests/golden/all_figures_quick.csv "$SERIAL_OUT" | head -40 >&2
     echo "(if the divergence is an intended semantic change, regenerate the" >&2
-    echo " golden file with: ./target/release/all_figures --quick --csv --jobs 1 > tests/golden/all_figures_quick.csv)" >&2
+    echo " golden file with: DD_BENCH_SWEEP= ./target/release/all_figures --quick --csv --jobs 1 > tests/golden/all_figures_quick.csv)" >&2
     exit 1
 fi
-echo "  all 14 figures byte-identical to the golden capture"
+NR_FIGS="$(grep -c '^    {"name": ' "$SERIAL_JSON")"
+echo "  all $NR_FIGS figures byte-identical to the golden capture"
 
 echo "== verify: traced ext_breakdown (span CSV determinism + golden) =="
 # The structured trace API's end-to-end gate: a traced figure run must (a)
@@ -114,9 +114,9 @@ echo "== verify: traced ext_breakdown (span CSV determinism + golden) =="
 # span CSVs that are byte-identical for any worker count (events are
 # written post-collection in original cell order, never completion order).
 BREAKDOWN_PHASES="submit,device_fetch,flash_done,complete"
-./target/release/ext_breakdown --quick \
+./target/release/fig ext_breakdown --quick \
     --trace "$BREAKDOWN_PHASES" --trace-out "$TRACE_1" --jobs 1 >"$EXT_1"
-./target/release/ext_breakdown --quick \
+./target/release/fig ext_breakdown --quick \
     --trace "$BREAKDOWN_PHASES" --trace-out "$TRACE_N" --jobs "$JOBS_N" >"$EXT_N"
 if ! diff -q "$EXT_1" "$EXT_N" >/dev/null; then
     echo "verify: FAILED — traced ext_breakdown stdout diverges across --jobs:" >&2
@@ -132,75 +132,12 @@ if ! diff -q tests/golden/ext_breakdown_quick.txt "$EXT_1" >/dev/null; then
     echo "verify: FAILED — SpanTable breakdown diverges from tests/golden/ext_breakdown_quick.txt:" >&2
     diff tests/golden/ext_breakdown_quick.txt "$EXT_1" | head -40 >&2
     echo "(if the divergence is an intended semantic change, regenerate with:" >&2
-    echo " ./target/release/ext_breakdown --quick --trace $BREAKDOWN_PHASES \\" >&2
+    echo " ./target/release/fig ext_breakdown --quick --trace $BREAKDOWN_PHASES \\" >&2
     echo "     --trace-out /dev/null --jobs 1 > tests/golden/ext_breakdown_quick.txt)" >&2
     exit 1
 fi
 TRACE_ROWS="$(( $(wc -l < "$TRACE_1") - 1 ))"
 echo "  SpanTable golden matched; $TRACE_ROWS span events byte-identical across jobs=1/$JOBS_N"
-
-echo "== verify: hostile-scenario figure (fault schedules deterministic + golden) =="
-# The fault-injection gate: the ext_hostile sweep (every stack under every
-# fault class) must be byte-identical for any worker count — fault
-# schedules, recovery watchdogs and all — and match the committed capture.
-./target/release/ext_hostile --quick --jobs 1 >"$HOS_1"
-./target/release/ext_hostile --quick --jobs "$JOBS_N" >"$HOS_N"
-if ! diff -q "$HOS_1" "$HOS_N" >/dev/null; then
-    echo "verify: FAILED — ext_hostile stdout diverges across --jobs:" >&2
-    diff "$HOS_1" "$HOS_N" | head -40 >&2
-    exit 1
-fi
-if ! diff -q tests/golden/ext_hostile_quick.txt "$HOS_1" >/dev/null; then
-    echo "verify: FAILED — hostile table diverges from tests/golden/ext_hostile_quick.txt:" >&2
-    diff tests/golden/ext_hostile_quick.txt "$HOS_1" | head -40 >&2
-    echo "(if the divergence is an intended semantic change, regenerate with:" >&2
-    echo " ./target/release/ext_hostile --quick --jobs 1 > tests/golden/ext_hostile_quick.txt)" >&2
-    exit 1
-fi
-echo "  hostile table byte-identical across jobs=1/$JOBS_N and vs the golden capture"
-
-echo "== verify: policy A/B figure (pluggable policies deterministic + golden) =="
-# The policy layer's gate: the ext_policy sweep (both app mixes under all
-# four built-in policies) must be byte-identical for any worker count —
-# including the stateful fairshare quota counter — and match the committed
-# capture. Implicitly also proves the DefaultPolicy columns still behave:
-# the figure shares its scenarios with Fig. 12.
-./target/release/ext_policy --quick --jobs 1 >"$POL_1" 2>/dev/null
-./target/release/ext_policy --quick --jobs "$JOBS_N" >"$POL_N" 2>/dev/null
-if ! diff -q "$POL_1" "$POL_N" >/dev/null; then
-    echo "verify: FAILED — ext_policy stdout diverges across --jobs:" >&2
-    diff "$POL_1" "$POL_N" | head -40 >&2
-    exit 1
-fi
-if ! diff -q tests/golden/ext_policy_quick.txt "$POL_1" >/dev/null; then
-    echo "verify: FAILED — policy table diverges from tests/golden/ext_policy_quick.txt:" >&2
-    diff tests/golden/ext_policy_quick.txt "$POL_1" | head -40 >&2
-    echo "(if the divergence is an intended semantic change, regenerate with:" >&2
-    echo " ./target/release/ext_policy --quick --jobs 1 > tests/golden/ext_policy_quick.txt)" >&2
-    exit 1
-fi
-echo "  policy table byte-identical across jobs=1/$JOBS_N and vs the golden capture"
-
-echo "== verify: fleet-tenancy figure (10k-scale layer deterministic + golden) =="
-# The fleet layer's gate: every host of every fleet cell is an ordinary
-# sweep cell, so the ext_fleet table — per-class SLO-violation rates from
-# the in-stack per-tenant accounting — must be byte-identical for any
-# worker count and match the committed capture.
-./target/release/ext_fleet --quick --jobs 1 >"$FLE_1"
-./target/release/ext_fleet --quick --jobs "$JOBS_N" >"$FLE_N"
-if ! diff -q "$FLE_1" "$FLE_N" >/dev/null; then
-    echo "verify: FAILED — ext_fleet stdout diverges across --jobs:" >&2
-    diff "$FLE_1" "$FLE_N" | head -40 >&2
-    exit 1
-fi
-if ! diff -q tests/golden/ext_fleet_quick.txt "$FLE_1" >/dev/null; then
-    echo "verify: FAILED — fleet table diverges from tests/golden/ext_fleet_quick.txt:" >&2
-    diff tests/golden/ext_fleet_quick.txt "$FLE_1" | head -40 >&2
-    echo "(if the divergence is an intended semantic change, regenerate with:" >&2
-    echo " ./target/release/ext_fleet --quick --jobs 1 > tests/golden/ext_fleet_quick.txt)" >&2
-    exit 1
-fi
-echo "  fleet table byte-identical across jobs=1/$JOBS_N and vs the golden capture"
 
 echo "== verify: fleet determinism and 10k-tenant capacity stability =="
 # Fleet digest properties (crates/testbed/tests/fleet_props.rs): Zipfian
@@ -224,8 +161,14 @@ echo "== verify: tracing-off sweep throughput within noise of BENCH_sweep.json =
 # trace/off_guarded_record in benches/micro.rs). Gate the end-to-end
 # claim loosely: the fresh tracing-off sweep must clear a conservative
 # fraction of the committed baseline's events/s — enough headroom for
-# host variance, but a hot path that grew real tracing work fails.
-FRESH_EPS="$(sed -n 's/^  "events_per_s": \([0-9.]*\),$/\1/p' BENCH_sweep_serial.json | head -1)"
+# host variance, but a hot path that grew real tracing work fails. The
+# fresh number is summed over the figures the committed baseline lists,
+# so figures added to the registry later do not shift what is compared.
+FRESH_EPS="$(sed -n 's/^    {"name": "\([a-z0-9_]*\)", "wall_s": \([0-9.]*\), "runs": [0-9]*, "events": \([0-9]*\),.*/\1 \2 \3/p' \
+    "$SERIAL_JSON" | awk -v names="$BASE_FIGS" '
+        BEGIN { n = split(names, a, " "); for (i = 1; i <= n; i++) keep[a[i]] = 1 }
+        $1 in keep { wall += $2; events += $3 }
+        END { if (wall > 0) printf "%.1f\n", events / wall }')"
 # Floor raised with the arena/SoA/batch port (PR 8): the committed serial
 # baseline itself moved up, and the recycled-machine path removed the
 # biggest variance source (allocator traffic), so 0.6x is safe headroom.

@@ -69,7 +69,7 @@ fn storms_are_deterministic_too() {
     let a = mk(7);
     let b = mk(7);
     assert_eq!(fingerprint(&a), fingerprint(&b));
-    assert_eq!(a.troute_reassignments, b.troute_reassignments);
+    assert_eq!(a.route_stats.reassignments, b.route_stats.reassignments);
 }
 
 #[test]

@@ -149,8 +149,8 @@ fn fig14_storm_degrades_gracefully() {
     let baseline = mk(None);
     let slow = mk(Some(SimDuration::from_millis(10)));
     let fast = mk(Some(SimDuration::from_micros(50)));
-    assert_eq!(baseline.troute_reassignments, 0);
-    assert!(slow.troute_reassignments > 0);
+    assert_eq!(baseline.route_stats.reassignments, 0);
+    assert!(slow.route_stats.reassignments > 0);
     let slow_iops = slow.l_kiops();
     let fast_iops = fast.l_kiops();
     let base_iops = baseline.l_kiops();
