@@ -435,12 +435,12 @@ fn bench_reqmap(set: &mut BenchSet) {
         let mut next = 0u64;
         for _ in 0..DEPTH {
             let h = map.insert_bio(bio(next), 1);
-            inflight.push_back(map.alloc_rq(h, 8));
+            inflight.push_back(map.alloc_rq_dir(h, 8, true));
             next += 1;
         }
         set.bench("reqmap/churn_slab", move || {
             let h = map.insert_bio(bio(next), 1);
-            inflight.push_back(map.alloc_rq(h, 8));
+            inflight.push_back(map.alloc_rq_dir(h, 8, true));
             next += 1;
             let rq = inflight.pop_front().expect("steady depth");
             black_box(map.complete_rq(rq))

@@ -94,11 +94,6 @@ impl RequestMap {
         }))
     }
 
-    /// Allocates a request id for one command of `bio`.
-    pub fn alloc_rq(&mut self, bio: BioHandle, nlb: u32) -> u64 {
-        self.alloc_rq_dir(bio, nlb, true)
-    }
-
     /// Combined backing capacity of the bio and request slabs, in slots.
     /// The capacity-stability probe asserts this stops growing once a run
     /// reaches steady state — the whole point of the generational slabs.
@@ -106,8 +101,8 @@ impl RequestMap {
         self.bios.capacity() + self.rqs.capacity()
     }
 
-    /// Allocates a request id recording its direction (for scheduler token
-    /// accounting).
+    /// Allocates a request id for one command of `bio`, recording its
+    /// direction (for scheduler token accounting).
     pub fn alloc_rq_dir(&mut self, bio: BioHandle, nlb: u32, read: bool) -> u64 {
         debug_assert!(self.bios.contains(bio.0), "rq for unknown bio");
         let id = self.rqs.insert(RqState {
@@ -193,7 +188,7 @@ mod tests {
     fn single_request_bio() {
         let mut m = RequestMap::new();
         let h = m.insert_bio(bio(1), 1);
-        let rq = m.alloc_rq(h, 2);
+        let rq = m.alloc_rq_dir(h, 2, true);
         assert_eq!(m.rq_blocks(rq), Some(2));
         let done = m.complete_rq(rq);
         assert_eq!(done.unwrap().id, BioId(1));
@@ -205,7 +200,7 @@ mod tests {
     fn multi_request_bio_completes_on_last() {
         let mut m = RequestMap::new();
         let h = m.insert_bio(bio(1), 3);
-        let rqs: Vec<u64> = (0..3).map(|_| m.alloc_rq(h, 32)).collect();
+        let rqs: Vec<u64> = (0..3).map(|_| m.alloc_rq_dir(h, 32, true)).collect();
         assert!(m.complete_rq(rqs[0]).is_none());
         assert!(m.complete_rq(rqs[2]).is_none());
         assert_eq!(m.complete_rq(rqs[1]).unwrap().id, BioId(1));
@@ -216,8 +211,8 @@ mod tests {
         let mut m = RequestMap::new();
         let h1 = m.insert_bio(bio(1), 1);
         let h2 = m.insert_bio(bio(2), 1);
-        let r1 = m.alloc_rq(h1, 1);
-        let r2 = m.alloc_rq(h2, 1);
+        let r1 = m.alloc_rq_dir(h1, 1, true);
+        let r2 = m.alloc_rq_dir(h2, 1, true);
         assert_eq!(m.complete_rq(r2).unwrap().id, BioId(2));
         assert_eq!(m.outstanding_bios(), 1);
         assert_eq!(m.complete_rq(r1).unwrap().id, BioId(1));
@@ -227,8 +222,8 @@ mod tests {
     fn peak_tracking() {
         let mut m = RequestMap::new();
         let h = m.insert_bio(bio(1), 2);
-        let a = m.alloc_rq(h, 1);
-        let b = m.alloc_rq(h, 1);
+        let a = m.alloc_rq_dir(h, 1, true);
+        let b = m.alloc_rq_dir(h, 1, true);
         assert_eq!(m.peak_outstanding(), 2);
         m.complete_rq(a);
         m.complete_rq(b);
@@ -240,7 +235,7 @@ mod tests {
     fn double_completion_panics() {
         let mut m = RequestMap::new();
         let h = m.insert_bio(bio(1), 1);
-        let rq = m.alloc_rq(h, 1);
+        let rq = m.alloc_rq_dir(h, 1, true);
         m.complete_rq(rq);
         m.complete_rq(rq);
     }
@@ -252,10 +247,10 @@ mod tests {
         // advances: a stale id must not alias the new occupant.
         let mut m = RequestMap::new();
         let h1 = m.insert_bio(bio(1), 1);
-        let stale = m.alloc_rq(h1, 1);
+        let stale = m.alloc_rq_dir(h1, 1, true);
         m.complete_rq(stale);
         let h2 = m.insert_bio(bio(2), 1);
-        let fresh = m.alloc_rq(h2, 1);
+        let fresh = m.alloc_rq_dir(h2, 1, true);
         // Same slot index, different generation.
         assert_eq!(stale & 0xFFFF_FFFF, fresh & 0xFFFF_FFFF);
         assert_ne!(stale, fresh);
@@ -267,7 +262,7 @@ mod tests {
         let mut m = RequestMap::new();
         for i in 0..1000 {
             let h = m.insert_bio(bio(i), 1);
-            let rq = m.alloc_rq(h, 1);
+            let rq = m.alloc_rq_dir(h, 1, true);
             assert!(m.complete_rq(rq).is_some());
         }
         // One slot each is enough for a serial workload.

@@ -37,29 +37,56 @@ pub struct Extent {
 
 /// Splits `(offset_blocks, bytes)` into command-sized extents.
 ///
-/// Returns one extent for dataless I/O (`bytes == 0`, i.e. flush) so every
-/// bio maps to at least one command.
-pub fn split_extents(cfg: &SplitConfig, offset_blocks: u64, bytes: u64) -> Vec<Extent> {
-    if bytes == 0 {
-        return vec![Extent {
-            slba: offset_blocks,
-            nlb: 0,
-        }];
-    }
-    let total_blocks = bytes_to_blocks(bytes);
+/// Yields one extent for dataless I/O (`bytes == 0`, i.e. flush) so every
+/// bio maps to at least one command. The iterator knows its length up
+/// front and allocates nothing.
+pub fn split_extents(cfg: &SplitConfig, offset_blocks: u64, bytes: u64) -> Extents {
+    let blocks = bytes_to_blocks(bytes);
     let max_blocks = (cfg.max_bytes / BLOCK_BYTES).max(1) as u32;
-    let mut out = Vec::with_capacity(total_blocks.div_ceil(max_blocks) as usize);
-    let mut done = 0u32;
-    while done < total_blocks {
-        let nlb = (total_blocks - done).min(max_blocks);
-        out.push(Extent {
-            slba: offset_blocks + done as u64,
-            nlb,
-        });
-        done += nlb;
+    Extents {
+        slba: offset_blocks,
+        blocks,
+        max_blocks,
+        left: blocks.div_ceil(max_blocks).max(1),
     }
-    out
 }
+
+/// The extents of one bio, in block order (see [`split_extents`]).
+#[derive(Clone, Debug)]
+pub struct Extents {
+    /// Start of the next extent.
+    slba: u64,
+    /// Blocks not yet handed out.
+    blocks: u32,
+    max_blocks: u32,
+    /// Extents not yet handed out.
+    left: u32,
+}
+
+impl Iterator for Extents {
+    type Item = Extent;
+
+    fn next(&mut self) -> Option<Extent> {
+        if self.left == 0 {
+            return None;
+        }
+        let nlb = self.blocks.min(self.max_blocks);
+        let e = Extent {
+            slba: self.slba,
+            nlb,
+        };
+        self.slba += u64::from(nlb);
+        self.blocks -= nlb;
+        self.left -= 1;
+        Some(e)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl ExactSizeIterator for Extents {}
 
 #[cfg(test)]
 mod tests {
@@ -67,19 +94,19 @@ mod tests {
 
     #[test]
     fn small_bio_is_one_extent() {
-        let e = split_extents(&SplitConfig::default(), 10, 4096);
+        let e: Vec<_> = split_extents(&SplitConfig::default(), 10, 4096).collect();
         assert_eq!(e, vec![Extent { slba: 10, nlb: 1 }]);
     }
 
     #[test]
     fn exact_max_is_one_extent() {
-        let e = split_extents(&SplitConfig::default(), 0, 128 * 1024);
+        let e: Vec<_> = split_extents(&SplitConfig::default(), 0, 128 * 1024).collect();
         assert_eq!(e, vec![Extent { slba: 0, nlb: 32 }]);
     }
 
     #[test]
     fn oversized_bio_splits_contiguously() {
-        let e = split_extents(&SplitConfig::default(), 100, 300 * 1024);
+        let e: Vec<_> = split_extents(&SplitConfig::default(), 100, 300 * 1024).collect();
         // 300 KiB = 75 blocks → 32 + 32 + 11.
         assert_eq!(e.len(), 3);
         assert_eq!(e[0], Extent { slba: 100, nlb: 32 });
@@ -90,7 +117,7 @@ mod tests {
     #[test]
     fn split_conserves_blocks() {
         for bytes in [1u64, 4096, 4097, 131072, 131073, 1 << 20] {
-            let e = split_extents(&SplitConfig::default(), 0, bytes);
+            let e: Vec<_> = split_extents(&SplitConfig::default(), 0, bytes).collect();
             let total: u64 = e.iter().map(|x| x.nlb as u64).sum();
             assert_eq!(total, bytes_to_blocks(bytes) as u64, "bytes={bytes}");
             // Extents are consecutive.
@@ -104,7 +131,7 @@ mod tests {
 
     #[test]
     fn flush_gets_one_dataless_extent() {
-        let e = split_extents(&SplitConfig::default(), 0, 0);
+        let e: Vec<_> = split_extents(&SplitConfig::default(), 0, 0).collect();
         assert_eq!(e, vec![Extent { slba: 0, nlb: 0 }]);
     }
 }

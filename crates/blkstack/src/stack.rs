@@ -12,22 +12,45 @@
 //! Device effects (doorbells waking the fetch engine, interrupts) flow
 //! through [`StackEnv::dev_out`], which the testbed drains after every call.
 //!
-//! The module also hosts shared machinery every stack uses: the completion
-//! processing helper ([`process_cqes`]) implementing the batched vs.
-//! per-request completion paths, and [`ParkedCommands`] for queue-full
-//! requeueing (blk-mq's `BLK_STS_RESOURCE` behaviour).
+//! # The shared NQ path
+//!
+//! Vanilla blk-mq, blk-switch, static overprovisioning and Daredevil differ
+//! in two decisions only: which NSQ a request goes to, and how doorbells and
+//! reaps are dispatched (§5.3). Everything else is kernel machinery they
+//! share, and it lives here in one type, [`NqPath`]:
+//!
+//! * **stage** — [`NqPath::stage`] splits a routed bio into command-sized
+//!   extents, tags each with a request id from the [`RequestMap`] and
+//!   stages it on the chosen SQ;
+//! * **enqueue** — [`NqPath::enqueue`] pushes one SQ's staged batch under
+//!   its tail lock ([`NsqLockTable`]) with a [`DoorbellMode`], parks what
+//!   does not fit ([`ParkedCommands`]) and reports an [`Enqueued`] summary
+//!   from which each stack composes its own CPU cost;
+//! * **reap** — [`NqPath::reap`] drains a CQ, lets the caller inspect the
+//!   entries and pick a [`CompletionMode`], and completes them through
+//!   [`process_cqes`]; [`NqPath::flush_parked`] then retries parked
+//!   commands (blk-mq's `BLK_STS_RESOURCE` requeue);
+//! * **housekeeping** — the fault watchdog ([`RedriveGuard`]), statistics,
+//!   capacity probes, pre-sizing and arena park/adopt.
+//!
+//! The path never asks which stack calls it: dispatch order across SQs,
+//! elevator staging, the doorbell and reap modes, and any per-CQE
+//! inspection stay in the caller.
 
 use std::collections::VecDeque;
 
 use dd_cpu::HostCosts;
 use dd_nvme::command::HostTag;
-use dd_nvme::{CqEntry, CqId, DeviceOutput, NvmeCommand, NvmeDevice, SqId};
-use simkit::{Phase, SimDuration, SimRng, SimTime, TraceEvent, TraceSink};
+use dd_nvme::spec::CommandId;
+use dd_nvme::{CqEntry, CqId, DeviceOutput, IoOpcode, NvmeCommand, NvmeDevice, SqId};
+use simkit::{Phase, SimDuration, SimRng, SimTime, Sla, TraceEvent, TraceSink};
 
 use crate::bio::{Bio, BioCompletion};
 use crate::capabilities::Capabilities;
 use crate::ioprio::IoPriorityClass;
+use crate::nsqlock::NsqLockTable;
 use crate::reqmap::RequestMap;
+use crate::split::{split_extents, SplitConfig};
 use crate::tenant::{Pid, TaskStruct};
 
 /// Mutable environment handed to every stack call.
@@ -163,10 +186,8 @@ pub trait StorageStack {
 pub mod arena_tags {
     /// The [`RequestMap`](crate::reqmap::RequestMap).
     pub const REQMAP: u32 = 0;
-    /// Primary command scratch (`Vec<NvmeCommand>`).
-    pub const CMD_SCRATCH: u32 = 0;
-    /// Secondary command scratch (per-batch staging).
-    pub const CMD_SCRATCH_2: u32 = 1;
+    /// The [`NqPath`](crate::stack::NqPath) per-SQ command staging.
+    pub const SQ_STAGING: u32 = 0;
     /// CQE drain scratch (`Vec<CqEntry>`).
     pub const CQE_SCRATCH: u32 = 0;
 }
@@ -177,7 +198,7 @@ pub mod arena_tags {
 ///
 /// One `trace.enabled()` branch when tracing is off.
 #[inline]
-pub fn trace_routed(trace: &mut TraceSink, now: SimTime, host: HostTag, sq: SqId, outlier: bool) {
+fn trace_routed(trace: &mut TraceSink, now: SimTime, host: HostTag, sq: SqId, outlier: bool) {
     if trace.enabled() {
         trace.record(host.trace_event(Phase::Submit, now, None));
         trace.record(host.trace_event(Phase::Routed { outlier }, now, Some(sq.0)));
@@ -189,14 +210,14 @@ pub fn trace_routed(trace: &mut TraceSink, now: SimTime, host: HostTag, sq: SqId
 /// time, at elevator dispatch, and at queue-full unpark — whichever finally
 /// got the command into the device.
 #[inline]
-pub fn trace_enqueued(trace: &mut TraceSink, now: SimTime, host: HostTag, sq: SqId) {
+fn trace_enqueued(trace: &mut TraceSink, now: SimTime, host: HostTag, sq: SqId) {
     if trace.enabled() {
         trace.record(host.trace_event(Phase::NsqEnqueue, now, Some(sq.0)));
         trace.record(host.trace_event(Phase::DoorbellRing, now, Some(sq.0)));
     }
 }
 
-/// When a submission path rings the NSQ doorbell.
+/// When a submission path rings the NSQ doorbell ([`NqPath::enqueue`]).
 ///
 /// The submission-side half of the I/O service dispatching vocabulary
 /// (completion side: [`CompletionMode`]). The vanilla stacks in this
@@ -474,6 +495,286 @@ impl RedriveGuard {
     }
 }
 
+/// Per-SQ command staging buffers, indexed by `SqId`. The arena reset
+/// empties each inner buffer but keeps the spine and the inner
+/// allocations; the blanket `ArenaReset for Vec<T>` would drop them.
+#[derive(Debug, Default)]
+struct SqBufs(Vec<Vec<NvmeCommand>>);
+
+impl simkit::ArenaReset for SqBufs {
+    fn arena_reset(&mut self) {
+        for b in &mut self.0 {
+            b.clear();
+        }
+    }
+}
+
+/// What [`NqPath::enqueue`] did with one SQ's staged batch. Each stack
+/// composes its own submission CPU cost from these parts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Enqueued {
+    /// Spin time on the NSQ tail lock.
+    pub wait: SimDuration,
+    /// Lock hold time: one `nsq_insert` per command of the batch.
+    pub hold: SimDuration,
+    /// Commands that reached the device (the rest were parked).
+    pub pushed: u64,
+    /// Bytes carried by the pushed commands.
+    pub pushed_bytes: u64,
+    /// Doorbells rung.
+    pub doorbells: u64,
+}
+
+/// The NQ submit/reap machinery shared by every NQ-based stack (see the
+/// [module docs](self)): request tagging, per-SQ staging, NSQ tail locks,
+/// queue-full parking, CQE reaping, the fault watchdog and the statistics.
+#[derive(Debug)]
+pub struct NqPath {
+    locks: NsqLockTable,
+    reqmap: RequestMap,
+    parked: ParkedCommands,
+    redrive: RedriveGuard,
+    split: SplitConfig,
+    stats: StackStats,
+    /// Staged commands per SQ; [`NqPath::enqueue`] drains a buffer back to
+    /// empty and keeps its capacity.
+    staged: SqBufs,
+    /// SQs with staged commands, in first-touch order.
+    touched: Vec<SqId>,
+    /// Recycled ISR scratch for drained CQEs.
+    cqes: Vec<CqEntry>,
+}
+
+impl NqPath {
+    /// Creates the path for a device with `nr_sqs` NSQs.
+    pub fn new(nr_sqs: u16) -> Self {
+        NqPath {
+            locks: NsqLockTable::new(nr_sqs),
+            reqmap: RequestMap::new(),
+            parked: ParkedCommands::new(),
+            redrive: RedriveGuard::new(),
+            split: SplitConfig::default(),
+            stats: StackStats::default(),
+            // dd-alloc-allowlist: construction, one empty buffer per SQ.
+            staged: SqBufs((0..nr_sqs).map(|_| Vec::new()).collect()),
+            touched: Vec::new(), // dd-alloc-allowlist: construction.
+            cqes: Vec::new(),    // dd-alloc-allowlist: construction.
+        }
+    }
+
+    /// The NSQ tail locks (troute and nqreg read their `in_lock` merit).
+    pub fn locks(&self) -> &NsqLockTable {
+        &self.locks
+    }
+
+    /// Mutable statistics, for counters only the caller can see (blk-switch
+    /// steering).
+    pub fn stats_mut(&mut self) -> &mut StackStats {
+        &mut self.stats
+    }
+
+    /// Splits `bio` into command-sized extents and stages each on `sq` as a
+    /// tagged command (`submit_core = core`, trace class `sla`), recording
+    /// the `Submit`/`Routed` span events. Returns the number of commands.
+    pub fn stage(
+        &mut self,
+        bio: &Bio,
+        sq: SqId,
+        core: u16,
+        sla: Sla,
+        env: &mut StackEnv<'_>,
+    ) -> u32 {
+        let extents = split_extents(&self.split, bio.offset_blocks, bio.bytes);
+        let n = extents.len() as u32;
+        let h = self.reqmap.insert_bio(*bio, n);
+        let read = bio.op == IoOpcode::Read;
+        let buf = &mut self.staged.0[sq.index()];
+        if buf.is_empty() {
+            self.touched.push(sq);
+        }
+        for e in extents {
+            let rq_id = self.reqmap.alloc_rq_dir(h, e.nlb, read);
+            let host = HostTag {
+                rq_id,
+                submit_core: core,
+                tenant: bio.tenant.0,
+                sla,
+            };
+            trace_routed(
+                &mut env.dev_out.trace,
+                env.now,
+                host,
+                sq,
+                bio.flags.is_outlier(),
+            );
+            buf.push(NvmeCommand {
+                cid: CommandId(rq_id),
+                nsid: bio.nsid,
+                opcode: bio.op,
+                slba: e.slba,
+                nlb: e.nlb,
+                host,
+            });
+        }
+        n
+    }
+
+    /// Stages an already-tagged command on `sq` (elevator dispatch).
+    pub fn stage_command(&mut self, sq: SqId, cmd: NvmeCommand) {
+        let buf = &mut self.staged.0[sq.index()];
+        if buf.is_empty() {
+            self.touched.push(sq);
+        }
+        buf.push(cmd);
+    }
+
+    /// Commands staged on `sq`.
+    pub fn staged_len(&self, sq: SqId) -> usize {
+        self.staged.0[sq.index()].len()
+    }
+
+    /// The first-touched SQ that still has staged commands.
+    pub fn next_staged(&self) -> Option<SqId> {
+        self.touched.first().copied()
+    }
+
+    /// Hands every command staged on `sq` to `f`, in order, instead of
+    /// enqueueing them (elevator insertion).
+    pub fn unstage(&mut self, sq: SqId, f: impl FnMut(NvmeCommand)) {
+        self.staged.0[sq.index()].drain(..).for_each(f);
+        self.touched.retain(|&s| s != sq);
+    }
+
+    /// Enqueues the batch staged on `sq` under one hold of its tail lock:
+    /// pushes what fits, parks the rest (counted in `requeues`) and rings
+    /// the doorbell per `mode` — once per pushed command when
+    /// [`DoorbellMode::Immediate`], once for the batch when
+    /// [`DoorbellMode::Batched`] and anything was pushed.
+    ///
+    /// The batch must not be empty.
+    pub fn enqueue(&mut self, sq: SqId, mode: DoorbellMode, env: &mut StackEnv<'_>) -> Enqueued {
+        let mut cmds = std::mem::take(&mut self.staged.0[sq.index()]);
+        debug_assert!(!cmds.is_empty(), "enqueue of an empty batch");
+        self.touched.retain(|&s| s != sq);
+        let hold = env.costs.nsq_insert * cmds.len() as u64;
+        let acq = self.locks.acquire(sq, env.now, hold);
+        let mut out = Enqueued {
+            wait: acq.wait,
+            hold,
+            ..Enqueued::default()
+        };
+        for cmd in cmds.drain(..) {
+            if env.device.sq_has_room(sq) {
+                env.device
+                    .push_command(sq, cmd)
+                    .expect("has_room guaranteed space");
+                trace_enqueued(&mut env.dev_out.trace, env.now, cmd.host, sq);
+                out.pushed += 1;
+                out.pushed_bytes += cmd.bytes();
+                self.stats.submitted_rqs += 1;
+                if mode == DoorbellMode::Immediate {
+                    env.device.ring_doorbell(sq, env.now, env.dev_out);
+                    out.doorbells += 1;
+                }
+            } else {
+                self.parked.park(sq, cmd);
+                self.stats.requeues += 1;
+            }
+        }
+        if mode == DoorbellMode::Batched && out.pushed > 0 {
+            env.device.ring_doorbell(sq, env.now, env.dev_out);
+            out.doorbells += 1;
+        }
+        self.stats.doorbells += out.doorbells;
+        self.staged.0[sq.index()] = cmds;
+        out
+    }
+
+    /// The ISR body: drains `cq`, calls `pick` with the drained entries
+    /// (while the request map still knows them) to choose the
+    /// [`CompletionMode`], completes them through [`process_cqes`] and
+    /// signals the end of the ISR to the device. Returns the ISR cost.
+    /// Parked commands are not retried here: see [`NqPath::flush_parked`].
+    pub fn reap(
+        &mut self,
+        cq: CqId,
+        core: u16,
+        env: &mut StackEnv<'_>,
+        pick: impl FnOnce(&[CqEntry], &RequestMap) -> CompletionMode,
+    ) -> SimDuration {
+        env.device.isr_pop_into(cq, usize::MAX, &mut self.cqes);
+        let mode = pick(&self.cqes, &self.reqmap);
+        let cost = process_cqes(
+            &self.cqes,
+            mode,
+            core,
+            env.now,
+            env.costs,
+            &mut self.reqmap,
+            &mut self.stats,
+            env.completions,
+            &mut env.dev_out.trace,
+        );
+        env.device.isr_done(cq, env.now, env.dev_out);
+        cost
+    }
+
+    /// Retries parked commands after completions freed SQ entries (kblockd
+    /// requeue).
+    pub fn flush_parked(&mut self, env: &mut StackEnv<'_>) {
+        if !self.parked.is_empty() {
+            self.parked
+                .flush(env.device, env.now, env.dev_out, &mut self.stats);
+        }
+    }
+
+    /// [`StorageStack::on_watchdog`]: completion-starved parked commands
+    /// first, then stalled-NSQ doorbell redrive with bounded retry.
+    pub fn on_watchdog(&mut self, env: &mut StackEnv<'_>) {
+        self.flush_parked(env);
+        self.redrive
+            .redrive(env.device, env.now, env.dev_out, &mut self.stats);
+    }
+
+    /// [`StorageStack::stats`], with the lock totals folded in.
+    pub fn stats(&self) -> StackStats {
+        let mut s = self.stats;
+        s.lock_wait_total = self.locks.in_lock_grand_total();
+        s.lock_contended = self.locks.contended_grand_total();
+        s
+    }
+
+    /// [`StorageStack::io_capacity`]: the request map's slab capacity.
+    pub fn io_capacity(&self) -> usize {
+        self.reqmap.capacity()
+    }
+
+    /// [`StorageStack::reserve`]: pre-sizes the request map and the CQE
+    /// scratch for `hint` outstanding requests. Staging buffers hold one
+    /// submit batch each and size themselves on first use.
+    pub fn reserve(&mut self, hint: usize) {
+        self.reqmap.reserve(hint);
+        self.cqes.reserve(hint);
+    }
+
+    /// [`StorageStack::park_buffers`] for the path's buffers.
+    pub fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
+        arena.put(arena_tags::REQMAP, std::mem::take(&mut self.reqmap));
+        arena.put(arena_tags::SQ_STAGING, std::mem::take(&mut self.staged));
+        arena.put(arena_tags::CQE_SCRATCH, std::mem::take(&mut self.cqes));
+    }
+
+    /// [`StorageStack::adopt_buffers`] for the path's buffers. A staging
+    /// set parked for a different NSQ count is resized to this one.
+    pub fn adopt_buffers(&mut self, arena: &mut simkit::RunArena) {
+        let nr_sqs = self.staged.0.len();
+        self.reqmap = arena.take(arena_tags::REQMAP);
+        self.cqes = arena.take(arena_tags::CQE_SCRATCH);
+        self.staged = arena.take(arena_tags::SQ_STAGING);
+        self.staged.0.resize_with(nr_sqs, Vec::new);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,9 +819,9 @@ mod tests {
         // Small L request first, bulky T request second: in batched mode
         // both are signalled at the end.
         let h1 = reqmap.insert_bio(bio(1, 0), 1);
-        let r1 = reqmap.alloc_rq(h1, 1);
+        let r1 = reqmap.alloc_rq_dir(h1, 1, true);
         let h2 = reqmap.insert_bio(bio(2, 0), 1);
-        let r2 = reqmap.alloc_rq(h2, 32);
+        let r2 = reqmap.alloc_rq_dir(h2, 32, true);
         let entries = vec![cqe(r1, 0, 4096), cqe(r2, 0, 131072)];
         let cost = process_cqes(
             &entries,
@@ -545,9 +846,9 @@ mod tests {
         let mut stats = StackStats::default();
         let mut completions = Vec::new();
         let h1 = reqmap.insert_bio(bio(1, 0), 1);
-        let r1 = reqmap.alloc_rq(h1, 1);
+        let r1 = reqmap.alloc_rq_dir(h1, 1, true);
         let h2 = reqmap.insert_bio(bio(2, 0), 1);
-        let r2 = reqmap.alloc_rq(h2, 32);
+        let r2 = reqmap.alloc_rq_dir(h2, 32, true);
         let entries = vec![cqe(r1, 0, 4096), cqe(r2, 0, 131072)];
         let cost = process_cqes(
             &entries,
@@ -571,7 +872,7 @@ mod tests {
         let mut stats = StackStats::default();
         let mut completions = Vec::new();
         let h1 = reqmap.insert_bio(bio(1, 5), 1);
-        let r1 = reqmap.alloc_rq(h1, 1);
+        let r1 = reqmap.alloc_rq_dir(h1, 1, true);
         // Submitted on core 5, completed on core 0: remote.
         let entries = vec![cqe(r1, 5, 4096)];
         let remote_cost = process_cqes(
@@ -590,7 +891,7 @@ mod tests {
         // Same on the submitting core: cheaper.
         let mut reqmap2 = RequestMap::new();
         let h = reqmap2.insert_bio(bio(1, 0), 1);
-        let r = reqmap2.alloc_rq(h, 1);
+        let r = reqmap2.alloc_rq_dir(h, 1, true);
         let local_cost = process_cqes(
             &[cqe(r, 0, 4096)],
             CompletionMode::Batched,
@@ -612,8 +913,8 @@ mod tests {
         let mut stats = StackStats::default();
         let mut completions = Vec::new();
         let h = reqmap.insert_bio(bio(1, 0), 2);
-        let r1 = reqmap.alloc_rq(h, 32);
-        let r2 = reqmap.alloc_rq(h, 32);
+        let r1 = reqmap.alloc_rq_dir(h, 32, true);
+        let r2 = reqmap.alloc_rq_dir(h, 32, true);
         process_cqes(
             &[cqe(r1, 0, 131072)],
             CompletionMode::Batched,
@@ -718,6 +1019,64 @@ mod tests {
     }
 
     #[test]
+    fn immediate_doorbells_skip_parked_commands() {
+        use dd_nvme::NvmeConfig;
+        let mut cfg = NvmeConfig::sv_m();
+        cfg.nr_sqs = 2;
+        cfg.nr_cqs = 2;
+        cfg.sq_depth = 2;
+        let mut dev = NvmeDevice::new(cfg, 1);
+        let mut out = DeviceOutput::new();
+        let mut comps = Vec::new();
+        let mut migs = Vec::new();
+        let mut rng = SimRng::new(1);
+        let costs = HostCosts::default();
+        let mut env = StackEnv {
+            now: SimTime::ZERO,
+            device: &mut dev,
+            dev_out: &mut out,
+            completions: &mut comps,
+            migrations: &mut migs,
+            rng: &mut rng,
+            costs: &costs,
+        };
+        let mut path = NqPath::new(2);
+        // Eight commands per depth-2 SQ: a doorbell may start a fetch that
+        // frees a slot, but the busy fetch engine cannot keep up and each
+        // SQ fills part-way through its batch.
+        let mut pushed = 0;
+        for sq in [SqId(0), SqId(1)] {
+            for i in 0..8 {
+                path.stage(&bio(i, 0), sq, 0, Sla::L, &mut env);
+            }
+            let e = path.enqueue(sq, DoorbellMode::Immediate, &mut env);
+            assert!(e.pushed >= 2 && e.pushed < 8, "{e:?}");
+            assert_eq!(e.doorbells, e.pushed, "one doorbell per pushed command");
+            pushed += e.pushed;
+        }
+        assert_eq!(path.next_staged(), None);
+        let st = path.stats();
+        assert_eq!(st.doorbells, pushed, "parked commands ring nothing");
+        assert_eq!(st.requeues, 16 - pushed);
+        assert_eq!(st.submitted_rqs, pushed);
+        // Let the device fetch until both SQs have room again.
+        let mut q = simkit::EventQueue::new();
+        while !(env.device.sq_has_room(SqId(0)) && env.device.sq_has_room(SqId(1))) {
+            for (at, ev) in env.dev_out.events.drain(..) {
+                q.push(at, ev);
+            }
+            let (at, ev) = q.pop().expect("device stalled");
+            env.now = at;
+            env.device.handle_event(ev, at, env.dev_out);
+        }
+        path.flush_parked(&mut env);
+        let st = path.stats();
+        assert_eq!(st.doorbells, pushed + 2, "one doorbell per SQ on the flush");
+        assert!(st.submitted_rqs >= pushed + 2);
+        assert_eq!(st.requeues, 16 - pushed, "the flush counts no requeues");
+    }
+
+    #[test]
     fn parked_commands_flush_when_room() {
         use dd_nvme::NvmeConfig;
         let mut cfg = NvmeConfig::sv_m();
@@ -748,9 +1107,9 @@ mod tests {
         // Free a slot by letting the device fetch one command.
         dev.ring_doorbell(SqId(0), SimTime::ZERO, &mut out);
         let evs: Vec<_> = out.events.drain(..).collect();
-        for (at, ev) in evs {
+        // One fetch frees one slot.
+        if let Some((at, ev)) = evs.into_iter().next() {
             dev.handle_event(ev, at, &mut out);
-            break; // One fetch frees one slot.
         }
         let n = parked.flush(&mut dev, SimTime::from_micros(50), &mut out, &mut stats);
         assert_eq!(n, 1);

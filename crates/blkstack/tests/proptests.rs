@@ -19,7 +19,10 @@ fn split_conserves_and_caps() {
         let cfg = SplitConfig {
             max_bytes: max_kib * 1024,
         };
-        let extents = split_extents(&cfg, offset, bytes);
+        let split = split_extents(&cfg, offset, bytes);
+        let announced = split.len();
+        let extents: Vec<_> = split.collect();
+        prop_assert_eq!(announced, extents.len());
         let max_blocks = (cfg.max_bytes / 4096).max(1) as u32;
         let total: u64 = extents.iter().map(|e| e.nlb as u64).sum();
         prop_assert_eq!(total, bytes_to_blocks(bytes) as u64);

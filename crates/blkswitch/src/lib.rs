@@ -27,18 +27,10 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use dd_nvme::command::HostTag;
-use dd_nvme::spec::CommandId;
-use dd_nvme::{CqId, NvmeCommand, SqId};
+use dd_nvme::{CqId, SqId};
 use simkit::SimDuration;
 
-use blkstack::nsqlock::NsqLockTable;
-use blkstack::reqmap::RequestMap;
-use blkstack::split::{split_extents, SplitConfig};
-use blkstack::stack::{
-    process_cqes, trace_enqueued, trace_routed, CompletionMode, ParkedCommands, RedriveGuard, StackEnv,
-    StackStats, StorageStack,
-};
+use blkstack::stack::{CompletionMode, DoorbellMode, NqPath, StackEnv, StackStats, StorageStack};
 use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, TaskStruct};
 
 /// Tunables of the blk-switch implementation (the paper's suggested values).
@@ -85,16 +77,7 @@ pub struct BlkSwitchStack {
     /// Outstanding (submitted, uncompleted) bytes per NSQ — the request
     /// steering signal.
     outstanding_bytes: Vec<u64>,
-    locks: NsqLockTable,
-    reqmap: RequestMap,
-    parked: ParkedCommands,
-    redrive: RedriveGuard,
-    split: SplitConfig,
-    stats: StackStats,
-    /// Recycled submit staging buffer (drained back to empty every call).
-    cmd_scratch: Vec<NvmeCommand>,
-    /// Recycled ISR scratch for drained CQEs.
-    cqe_scratch: Vec<dd_nvme::CqEntry>,
+    path: NqPath,
 }
 
 impl BlkSwitchStack {
@@ -107,14 +90,7 @@ impl BlkSwitchStack {
             tenants: HashMap::new(),
             active_cores: BTreeSet::new(),
             outstanding_bytes: vec![0; device_sqs as usize],
-            locks: NsqLockTable::new(device_sqs),
-            reqmap: RequestMap::new(),
-            parked: ParkedCommands::new(),
-            redrive: RedriveGuard::new(),
-            split: SplitConfig::default(),
-            stats: StackStats::default(),
-            cmd_scratch: Vec::new(),
-            cqe_scratch: Vec::new(),
+            path: NqPath::new(device_sqs),
         }
     }
 
@@ -279,122 +255,53 @@ impl StorageStack for BlkSwitchStack {
         // T-requests steer by load.
         let sq = if is_l { home } else { self.steer_sq(home) };
         if sq != home {
-            self.stats.steering_actions += 1;
+            self.path.stats_mut().steering_actions += 1;
         }
 
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        debug_assert!(cmds.is_empty());
-        let mut batch_bytes = 0u64;
         let sla = if is_l { simkit::Sla::L } else { simkit::Sla::T };
+        let mut n = 0;
+        let mut batch_bytes = 0u64;
         for bio in bios {
-            let extents = split_extents(&self.split, bio.offset_blocks, bio.bytes);
-            let h = self.reqmap.insert_bio(*bio, extents.len() as u32);
+            n += self.path.stage(bio, sq, core, sla, env);
             batch_bytes += bio.bytes;
-            for e in extents {
-                let rq_id = self.reqmap.alloc_rq(h, e.nlb);
-                let host = HostTag {
-                    rq_id,
-                    submit_core: core,
-                    tenant: bio.tenant.0,
-                    sla,
-                };
-                trace_routed(
-                    &mut env.dev_out.trace,
-                    env.now,
-                    host,
-                    sq,
-                    bio.flags.is_outlier(),
-                );
-                cmds.push(NvmeCommand {
-                    cid: CommandId(rq_id),
-                    nsid: bio.nsid,
-                    opcode: bio.op,
-                    slba: e.slba,
-                    nlb: e.nlb,
-                    host,
-                });
-            }
         }
         if let Some(t) = self.tenants.get_mut(&tenant) {
             t.window_bytes += batch_bytes;
         }
 
-        let n = cmds.len() as u64;
-        let hold = env.costs.nsq_insert * n;
-        let acq = self.locks.acquire(sq, env.now, hold);
-        let mut cost = env.costs.submit_cost(n as u32) + acq.wait + hold + env.costs.doorbell;
-        if !acq.wait.is_zero() {
-            cost += env.costs.remote_submission * n;
+        let e = self.path.enqueue(sq, DoorbellMode::Batched, env);
+        self.outstanding_bytes[sq.index()] += e.pushed_bytes;
+        let mut cost = env.costs.submit_cost(n) + e.wait + e.hold + env.costs.doorbell;
+        if !e.wait.is_zero() {
+            cost += env.costs.remote_submission * u64::from(n);
         }
-        let mut pushed = 0u64;
-        for cmd in cmds.drain(..) {
-            let bytes = cmd.bytes();
-            if env.device.sq_has_room(sq) {
-                env.device
-                    .push_command(sq, cmd)
-                    .expect("has_room guaranteed space");
-                trace_enqueued(&mut env.dev_out.trace, env.now, cmd.host, sq);
-                self.outstanding_bytes[sq.index()] += bytes;
-                pushed += 1;
-                self.stats.submitted_rqs += 1;
-            } else {
-                self.parked.park(sq, cmd);
-                self.stats.requeues += 1;
-            }
-        }
-        if pushed > 0 {
-            env.device.ring_doorbell(sq, env.now, env.dev_out);
-            self.stats.doorbells += 1;
-        }
-        self.cmd_scratch = cmds;
         cost
     }
 
     fn on_irq(&mut self, cq: CqId, core: u16, env: &mut StackEnv<'_>) -> SimDuration {
-        let mut entries = std::mem::take(&mut self.cqe_scratch);
-        env.device.isr_pop_into(cq, usize::MAX, &mut entries);
-        for e in &entries {
-            let q = &mut self.outstanding_bytes[e.sq_id.index()];
-            *q = q.saturating_sub(e.bytes);
-        }
-        let cost = process_cqes(
-            &entries,
-            self.completion_mode(),
-            core,
-            env.now,
-            env.costs,
-            &mut self.reqmap,
-            &mut self.stats,
-            env.completions,
-            &mut env.dev_out.trace,
-        );
-        env.device.isr_done(cq, env.now, env.dev_out);
-        self.cqe_scratch = entries;
-        if !self.parked.is_empty() {
-            self.parked
-                .flush(env.device, env.now, env.dev_out, &mut self.stats);
-        }
+        let mode = self.completion_mode();
+        let outstanding = &mut self.outstanding_bytes;
+        let cost = self.path.reap(cq, core, env, |cqes, _| {
+            for e in cqes {
+                let q = &mut outstanding[e.sq_id.index()];
+                *q = q.saturating_sub(e.bytes);
+            }
+            mode
+        });
+        self.path.flush_parked(env);
         cost
     }
 
     fn reserve(&mut self, hint: usize) {
-        self.reqmap.reserve(hint);
-        self.cmd_scratch.reserve(hint);
-        self.cqe_scratch.reserve(hint);
+        self.path.reserve(hint);
     }
 
     fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
-        use blkstack::stack::arena_tags;
-        arena.put(arena_tags::REQMAP, std::mem::take(&mut self.reqmap));
-        arena.put(arena_tags::CMD_SCRATCH, std::mem::take(&mut self.cmd_scratch));
-        arena.put(arena_tags::CQE_SCRATCH, std::mem::take(&mut self.cqe_scratch));
+        self.path.park_buffers(arena);
     }
 
     fn adopt_buffers(&mut self, arena: &mut simkit::RunArena) {
-        use blkstack::stack::arena_tags;
-        self.reqmap = arena.take(arena_tags::REQMAP);
-        self.cmd_scratch = arena.take(arena_tags::CMD_SCRATCH);
-        self.cqe_scratch = arena.take(arena_tags::CQE_SCRATCH);
+        self.path.adopt_buffers(arena);
     }
 
     fn on_tick(&mut self, env: &mut StackEnv<'_>) -> Option<SimDuration> {
@@ -429,7 +336,7 @@ impl StorageStack for BlkSwitchStack {
                         if t.core != core {
                             t.core = core;
                             env.migrations.push((pid, core));
-                            self.stats.steering_actions += 1;
+                            self.path.stats_mut().steering_actions += 1;
                         }
                     }
                 }
@@ -461,7 +368,7 @@ impl StorageStack for BlkSwitchStack {
                         t.core = core;
                     }
                     env.migrations.push((pid, core));
-                    self.stats.steering_actions += 1;
+                    self.path.stats_mut().steering_actions += 1;
                 }
                 // Balance move among T-cores only.
                 let loads = self.core_loads();
@@ -487,7 +394,7 @@ impl StorageStack for BlkSwitchStack {
                                 t.core = idlest;
                             }
                             env.migrations.push((pid, idlest));
-                            self.stats.steering_actions += 1;
+                            self.path.stats_mut().steering_actions += 1;
                         }
                     }
                 }
@@ -501,25 +408,15 @@ impl StorageStack for BlkSwitchStack {
     }
 
     fn on_watchdog(&mut self, env: &mut StackEnv<'_>) {
-        // Fault recovery: completion-starved parked commands first, then
-        // stalled-NSQ doorbell redrive with bounded retry.
-        if !self.parked.is_empty() {
-            self.parked
-                .flush(env.device, env.now, env.dev_out, &mut self.stats);
-        }
-        self.redrive
-            .redrive(env.device, env.now, env.dev_out, &mut self.stats);
+        self.path.on_watchdog(env);
     }
 
     fn stats(&self) -> StackStats {
-        let mut s = self.stats;
-        s.lock_wait_total = self.locks.in_lock_grand_total();
-        s.lock_contended = self.locks.contended_grand_total();
-        s
+        self.path.stats()
     }
 
     fn io_capacity(&self) -> usize {
-        self.reqmap.capacity()
+        self.path.io_capacity()
     }
 }
 

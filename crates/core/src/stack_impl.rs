@@ -13,40 +13,17 @@
 //! per L-request) rather than visibility timing; the completion half carries
 //! the latency effect, matching where the paper's gains come from.
 
-use dd_nvme::command::HostTag;
-use dd_nvme::spec::CommandId;
-use dd_nvme::{CqId, NvmeCommand, SqId};
+use dd_nvme::CqId;
 use simkit::SimDuration;
 
-use blkstack::nsqlock::NsqLockTable;
-use blkstack::reqmap::RequestMap;
-use blkstack::split::{split_extents, SplitConfig};
-use blkstack::stack::{
-    process_cqes, trace_enqueued, trace_routed, ParkedCommands, RedriveGuard, StackEnv,
-    StackStats, StorageStack,
-};
+use blkstack::stack::{NqPath, StackEnv, StackStats, StorageStack};
 use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, TaskStruct};
 
 use crate::config::{DaredevilConfig, Variant};
 use crate::nproxy::{Priority, ProxyTable};
 use crate::nqreg::{divide_priorities, NqReg};
-use crate::policy::{DoorbellCtx, DoorbellMode, Policy, PolicyKind, ReapCtx};
+use crate::policy::{DoorbellCtx, Policy, PolicyKind, ReapCtx};
 use crate::troute::{RouteStats, Troute};
-
-/// Arena wrapper for the per-NSQ staging buffers: the blanket
-/// `ArenaReset for Vec<T>` would drop the inner `Vec`s (and their warm
-/// capacities) on park, so this reset empties each inner buffer while
-/// keeping both the outer spine and the inner allocations.
-#[derive(Default)]
-struct SqBufs(Vec<Vec<NvmeCommand>>);
-
-impl simkit::ArenaReset for SqBufs {
-    fn arena_reset(&mut self) {
-        for b in &mut self.0 {
-            b.clear();
-        }
-    }
-}
 
 /// The Daredevil kernel storage stack.
 ///
@@ -61,22 +38,8 @@ pub struct DaredevilStack<P: Policy = PolicyKind> {
     nqreg: NqReg,
     troute: Troute,
     proxies: ProxyTable,
-    locks: NsqLockTable,
-    reqmap: RequestMap,
-    parked: ParkedCommands,
-    redrive: RedriveGuard,
-    split: SplitConfig,
-    stats: StackStats,
+    path: NqPath,
     irq_policy_configured: bool,
-    /// Recycled per-NSQ command staging buffers (indexed by `SqId`); each
-    /// submit call drains the buffers it touched back to empty, keeping the
-    /// capacity for the next call.
-    sq_bufs: Vec<Vec<NvmeCommand>>,
-    /// NSQs touched by the current submit call, in first-touch order (the
-    /// dispatch order the old per-call `Vec<(SqId, Vec<_>)>` produced).
-    active_sqs: Vec<SqId>,
-    /// Recycled ISR scratch for drained CQEs.
-    cqe_scratch: Vec<dd_nvme::CqEntry>,
 }
 
 impl DaredevilStack<PolicyKind> {
@@ -141,16 +104,8 @@ impl<P: Policy> DaredevilStack<P> {
             nqreg,
             proxies,
             policy,
-            locks: NsqLockTable::new(nr_sqs),
-            reqmap: RequestMap::new(),
-            parked: ParkedCommands::new(),
-            redrive: RedriveGuard::new(),
-            split: SplitConfig::default(),
-            stats: StackStats::default(),
+            path: NqPath::new(nr_sqs),
             irq_policy_configured: false,
-            sq_bufs: (0..nr_sqs).map(|_| Vec::new()).collect(),
-            active_sqs: Vec::new(),
-            cqe_scratch: Vec::new(),
             cfg,
         }
     }
@@ -245,7 +200,7 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
             &mut self.policy,
             &mut self.nqreg,
             env.device,
-            &self.locks,
+            self.path.locks(),
             &mut self.proxies,
         );
     }
@@ -261,7 +216,7 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
             &mut self.policy,
             &mut self.nqreg,
             env.device,
-            &self.locks,
+            self.path.locks(),
             &mut self.proxies,
         );
     }
@@ -271,40 +226,23 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
     }
 
     fn reserve(&mut self, hint: usize) {
-        self.reqmap.reserve(hint);
-        self.cqe_scratch.reserve(hint);
+        self.path.reserve(hint);
     }
 
     fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
-        use blkstack::stack::arena_tags;
-        arena.put(arena_tags::REQMAP, std::mem::take(&mut self.reqmap));
-        arena.put(arena_tags::CQE_SCRATCH, std::mem::take(&mut self.cqe_scratch));
-        arena.put(0, SqBufs(std::mem::take(&mut self.sq_bufs)));
+        self.path.park_buffers(arena);
     }
 
     fn adopt_buffers(&mut self, arena: &mut simkit::RunArena) {
-        use blkstack::stack::arena_tags;
-        self.reqmap = arena.take(arena_tags::REQMAP);
-        self.cqe_scratch = arena.take(arena_tags::CQE_SCRATCH);
-        let SqBufs(mut bufs) = arena.take::<SqBufs>(0);
-        // The constructor sized `sq_bufs` to this device's NSQ count; a
-        // recycled set from a different geometry is resized to match.
-        let want = self.sq_bufs.len();
-        bufs.resize_with(want, Vec::new);
-        self.sq_bufs = bufs;
+        self.path.adopt_buffers(arena);
     }
 
     fn submit(&mut self, bios: &[Bio], env: &mut StackEnv<'_>) -> SimDuration {
         debug_assert!(!bios.is_empty());
         let core = bios[0].core;
-        // Route every bio, then group its commands by target NSQ so each
-        // NSQ's lock is taken once per batch. Grouping goes through the
-        // recycled per-SQ staging buffers: `active_sqs` records first-touch
-        // order (the dispatch order the old per-call Vec produced) and each
-        // buffer is drained back to empty below — zero steady-state heap
-        // traffic.
-        debug_assert!(self.active_sqs.is_empty());
-        let mut total_rqs = 0u32;
+        // Route every bio and stage its commands on the chosen NSQ, so each
+        // NSQ's lock is taken once per batch.
+        let mut total_rqs = 0;
         for bio in bios {
             // Tenant base priority doubles as the trace SLA class (High
             // base priority == latency-sensitive ionice == L-tenant).
@@ -332,7 +270,7 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
                     prio,
                     1,
                     env.device,
-                    &self.locks,
+                    self.path.locks(),
                     &self.proxies,
                 )
             } else {
@@ -342,146 +280,61 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
                     &mut self.policy,
                     &mut self.nqreg,
                     env.device,
-                    &self.locks,
+                    self.path.locks(),
                     &mut self.proxies,
                 )
             };
-            let extents = split_extents(&self.split, bio.offset_blocks, bio.bytes);
-            let h = self.reqmap.insert_bio(*bio, extents.len() as u32);
-            if !self.active_sqs.contains(&sq) {
-                self.active_sqs.push(sq);
-            }
-            let bucket = &mut self.sq_bufs[sq.index()];
-            for e in extents {
-                let rq_id = self.reqmap.alloc_rq(h, e.nlb);
-                total_rqs += 1;
-                let host = HostTag {
-                    rq_id,
-                    submit_core: core,
-                    tenant: bio.tenant.0,
-                    sla,
-                };
-                trace_routed(
-                    &mut env.dev_out.trace,
-                    env.now,
-                    host,
-                    sq,
-                    bio.flags.is_outlier(),
-                );
-                bucket.push(NvmeCommand {
-                    cid: CommandId(rq_id),
-                    nsid: bio.nsid,
-                    opcode: bio.op,
-                    slba: e.slba,
-                    nlb: e.nlb,
-                    host,
-                });
-            }
+            total_rqs += self.path.stage(bio, sq, core, sla, env);
         }
 
         let mut cost = env.costs.submit_cost(total_rqs);
-        let mut active_sqs = std::mem::take(&mut self.active_sqs);
-        for &sq in &active_sqs {
-            let mut cmds = std::mem::take(&mut self.sq_bufs[sq.index()]);
-            let n = cmds.len() as u64;
-            let hold = env.costs.nsq_insert * n;
-            let acq = self.locks.acquire(sq, env.now, hold);
-            cost += acq.wait + hold;
-            if !acq.wait.is_zero() {
-                // Contended tail: the cache line bounced between cores.
-                cost += env.costs.remote_submission * n;
-            }
+        // NSQs in first-touch order.
+        while let Some(sq) = self.path.next_staged() {
+            let n = self.path.staged_len(sq) as u64;
             // Submission half of the I/O service dispatching: the policy
             // picks the doorbell discipline per NSQ batch (the default
             // policy rings per request for high-priority NSQs under the
             // full variant, §5.3).
-            let immediate = self.policy.doorbell(&DoorbellCtx {
+            let mode = self.policy.doorbell(&DoorbellCtx {
                 prio: self.proxies.get(sq).prio,
                 commands: n,
-            }) == DoorbellMode::Immediate;
-            let mut pushed = 0u64;
-            for cmd in cmds.drain(..) {
-                if env.device.sq_has_room(sq) {
-                    env.device
-                        .push_command(sq, cmd)
-                        .expect("has_room guaranteed space");
-                    trace_enqueued(&mut env.dev_out.trace, env.now, cmd.host, sq);
-                    pushed += 1;
-                    self.stats.submitted_rqs += 1;
-                    if immediate {
-                        // Immediate notification per request.
-                        env.device.ring_doorbell(sq, env.now, env.dev_out);
-                        self.stats.doorbells += 1;
-                        cost += env.costs.doorbell;
-                    }
-                } else {
-                    self.parked.park(sq, cmd);
-                    self.stats.requeues += 1;
-                }
+            });
+            let e = self.path.enqueue(sq, mode, env);
+            cost += e.wait + e.hold + env.costs.doorbell * e.doorbells;
+            if !e.wait.is_zero() {
+                // Contended tail: the cache line bounced between cores.
+                cost += env.costs.remote_submission * n;
             }
-            if pushed > 0 && !immediate {
-                // Postponed notification: one doorbell per enqueued batch.
-                env.device.ring_doorbell(sq, env.now, env.dev_out);
-                self.stats.doorbells += 1;
-                cost += env.costs.doorbell;
-            }
-            self.sq_bufs[sq.index()] = cmds;
         }
-        active_sqs.clear();
-        self.active_sqs = active_sqs;
         cost
     }
 
     fn on_irq(&mut self, cq: CqId, core: u16, env: &mut StackEnv<'_>) -> SimDuration {
-        let mut entries = std::mem::take(&mut self.cqe_scratch);
-        env.device.isr_pop_into(cq, usize::MAX, &mut entries);
         // Completion half of the I/O service dispatching: per-request vs
         // batched reap is the policy's call (default: per-request for
         // high-priority NCQs under the full variant, §5.3).
-        let mode = self.policy.reap(&ReapCtx {
-            prio: self.nqreg.cq_priority(cq),
-            entries: entries.len() as u64,
+        let prio = self.nqreg.cq_priority(cq);
+        let policy = &mut self.policy;
+        let cost = self.path.reap(cq, core, env, |cqes, _| {
+            policy.reap(&ReapCtx {
+                prio,
+                entries: cqes.len() as u64,
+            })
         });
-        let cost = process_cqes(
-            &entries,
-            mode,
-            core,
-            env.now,
-            env.costs,
-            &mut self.reqmap,
-            &mut self.stats,
-            env.completions,
-            &mut env.dev_out.trace,
-        );
-        env.device.isr_done(cq, env.now, env.dev_out);
-        self.cqe_scratch = entries;
-        if !self.parked.is_empty() {
-            self.parked
-                .flush(env.device, env.now, env.dev_out, &mut self.stats);
-        }
+        self.path.flush_parked(env);
         cost
     }
 
     fn on_watchdog(&mut self, env: &mut StackEnv<'_>) {
-        // Fault recovery: completion-starved parked commands first, then
-        // stalled-NSQ doorbell redrive with bounded retry.
-        if !self.parked.is_empty() {
-            self.parked
-                .flush(env.device, env.now, env.dev_out, &mut self.stats);
-        }
-        self.redrive
-            .redrive(env.device, env.now, env.dev_out, &mut self.stats);
+        self.path.on_watchdog(env);
     }
 
     fn stats(&self) -> StackStats {
-        let mut s = self.stats;
-        s.lock_wait_total = self.locks.in_lock_grand_total();
-        s.lock_contended = self.locks.contended_grand_total();
-        s
+        self.path.stats()
     }
 
     fn io_capacity(&self) -> usize {
-        self.reqmap.capacity()
+        self.path.io_capacity()
     }
 }
 
@@ -489,7 +342,7 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
 mod tests {
     use super::*;
     use blkstack::bio::{BioId, ReqFlags};
-    use dd_nvme::{DeviceOutput, IoOpcode, NamespaceId, NvmeConfig, NvmeDevice};
+    use dd_nvme::{DeviceOutput, IoOpcode, NamespaceId, NvmeConfig, NvmeDevice, SqId};
     use simkit::{EventQueue, SimRng, SimTime};
 
     fn device() -> NvmeDevice {

@@ -223,6 +223,10 @@ impl StorageStack for VirtioBlk {
         self.inner.on_watchdog(env);
     }
 
+    fn reserve(&mut self, hint: usize) {
+        self.inner.reserve(hint);
+    }
+
     fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
         // The virtio layer's own maps are tiny; the host stack holds the
         // recyclable allocations.
@@ -430,6 +434,14 @@ mod tests {
         s2.register_tenant(&guest_task(2, 1, IoPriorityClass::BestEffort), &mut env2);
         s2.submit(&[bio(1, 2, 1, 4096, ReqFlags::SYNC)], &mut env2);
         assert_eq!(high_group_usage(env2.device), 1);
+    }
+
+    #[test]
+    fn reserve_presizes_the_host_stack() {
+        let h = Harness::new();
+        let mut s = virtio(VqMode::SlaAware, &h.dev);
+        s.reserve(4096);
+        assert!(s.io_capacity() >= 4096, "got {}", s.io_capacity());
     }
 
     #[test]

@@ -188,12 +188,17 @@ fi
 
 echo "== verify: hot-path maps stay slab/dense (no std hash maps) =="
 # The request-lifecycle hot path must not regress to allocating hash maps.
-# A file may opt out with an explicit `dd-alloc-allowlist:` comment
-# justifying the exception.
-HOT_FILES="crates/blkstack/src/reqmap.rs crates/blkstack/src/blkmq.rs crates/core/src/troute.rs crates/core/src/policy.rs"
+# An import may opt out with an explicit `dd-alloc-allowlist:` comment on
+# its line (or the line above) justifying the exception; a marker elsewhere
+# in the file does not count, since the shared NQ path marks its
+# construction-time allocations for the guard below.
+HOT_FILES="crates/blkstack/src/stack.rs crates/blkstack/src/reqmap.rs crates/blkstack/src/blkmq.rs crates/core/src/troute.rs crates/core/src/policy.rs"
 for f in $HOT_FILES; do
-    if grep -qE 'use std::collections::.*(HashMap|BTreeMap)' "$f" \
-        && ! grep -q 'dd-alloc-allowlist:' "$f"; then
+    if awk '
+        /use std::collections::.*(HashMap|BTreeMap)/ && $0 !~ /dd-alloc-allowlist:/ && prev !~ /dd-alloc-allowlist:/ { found = 1 }
+        { prev = $0 }
+        END { exit !found }
+    ' "$f"; then
         echo "verify: FAILED — $f imports HashMap/BTreeMap on the hot path" >&2
         echo "(use simkit::{Slab, DenseMap}, or add a 'dd-alloc-allowlist: <reason>' comment)" >&2
         exit 1
@@ -202,12 +207,13 @@ done
 echo "  ${HOT_FILES// /, }: clean"
 
 echo "== verify: dispatch/push paths stay allocation-free =="
-# The machine's event loop and the event queue's push paths must not
+# The shared NQ submit/reap path (every stack's per-I/O code), the
+# machine's event loop and the event queue's push paths must not
 # regrow per-event allocations (that is what the RunArena + batch port
 # removed). Construction-time allocations are fine — mark the line (or
 # the line above it) with `dd-alloc-allowlist: <reason>`. Test modules
 # (`#[cfg(test)]` onward) are exempt.
-ALLOC_FILES="crates/testbed/src/machine.rs crates/simkit/src/event.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs"
+ALLOC_FILES="crates/blkstack/src/stack.rs crates/testbed/src/machine.rs crates/simkit/src/event.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs"
 ALLOC_FAIL=0
 for f in $ALLOC_FILES; do
     HITS="$(awk '
