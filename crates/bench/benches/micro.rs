@@ -180,6 +180,9 @@ fn bench_substrate(set: &mut BenchSet) {
 ///   loop's regime; the bucketed queue must not lose to the heap here.
 /// * `drain_*` — batch fill then full drain, measuring amortized
 ///   per-event cost when the queue depth spikes (storm reschedules).
+/// * `sparse_*` — the open-loop fleet regime: per-tenant arrivals far
+///   apart, each with a short chain of near-future follow-ups, so the
+///   window keeps moving past far-armed timers (resync and migration).
 fn bench_event_queues(set: &mut BenchSet) {
     macro_rules! churn {
         ($name:literal, $ty:ident) => {{
@@ -230,6 +233,36 @@ fn bench_event_queues(set: &mut BenchSet) {
     }
     drain!("event_queue/drain_bucketed", EventQueue);
     drain!("event_queue/drain_heap", HeapQueue);
+
+    // Fleet-shaped sparse timeline: 256 open-loop tenants, each with one
+    // pending arrival 200 µs–50 ms after its last, and each arrival
+    // followed by a chain of three 1–20 µs follow-ups (submit, device,
+    // completion hops). Most arrivals are armed beyond the near window and
+    // must migrate into the ring as the window reaches them. One pop (plus
+    // its re-arm) per iteration. Payload = follow-up hops left (0 = arrival).
+    macro_rules! sparse {
+        ($name:literal, $ty:ident) => {{
+            let mut q: $ty<u32> = $ty::with_capacity(1024);
+            let mut rng = SimRng::new(13);
+            for _ in 0..256 {
+                q.push(SimTime::from_nanos(rng.next_u64() % 50_000_000), 0u32);
+            }
+            set.bench($name, move || {
+                let (at, hops) = q.pop().expect("sparse queue never empties");
+                let hop = SimDuration::from_nanos(1_000 + rng.next_u64() % 19_000);
+                if hops == 0 {
+                    let gap = 200_000 + rng.next_u64() % 49_800_000;
+                    q.push(at + SimDuration::from_nanos(gap), 0);
+                    q.push(at + hop, 3);
+                } else if hops > 1 {
+                    q.push(at + hop, hops - 1);
+                }
+                black_box(q.len())
+            });
+        }};
+    }
+    sparse!("event_queue/sparse_bucketed", EventQueue);
+    sparse!("event_queue/sparse_heap", HeapQueue);
 
     // Batched insertion vs a loop of singleton pushes — the drain_effects
     // shape: a burst of already-time-ordered device events entering the

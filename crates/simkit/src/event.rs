@@ -18,20 +18,37 @@
 //!
 //! * a **near-future lane**: a ring of [`NEAR_BUCKETS`] buckets, each
 //!   covering a granule of `1 << GRANULE_SHIFT` nanoseconds. Pushes whose
-//!   firing granule lies within the ring's current window are appended to
-//!   their bucket in O(1); a bucket is sorted once, when draining reaches
-//!   it.
-//! * a **far lane**: the plain binary heap, for timers beyond the window
-//!   (stop markers, warmup boundaries, think-time wakeups, storm intervals)
-//!   and for the rare push behind the drain cursor.
+//!   firing granule lies within the ring's current window
+//!   `[cursor, cursor + NEAR_BUCKETS)` are appended to their bucket in
+//!   O(1); a bucket is sorted once, when draining reaches it. A bitmask
+//!   with one bit per bucket marks the occupied ones, so finding the next
+//!   bucket to drain is a `trailing_zeros` per 64 buckets, not a step per
+//!   empty bucket.
+//! * a **far lane**: the plain binary heap, holding only timers beyond the
+//!   window (stop markers, warmup boundaries, think-time wakeups, storm
+//!   intervals, open-loop arrivals) and the rare push behind the cursor.
+//!
+//! # Keeping the window where the events are
+//!
+//! The window follows the drain. Draining advances `cursor` to the first
+//! occupied bucket; when the near lane is empty, a pop first *resyncs*
+//! the cursor to the far head's granule, so an idle gap longer than the
+//! window does not strand later near-future pushes in the far lane. Every
+//! time the cursor moves, far events whose granule now lies inside the
+//! window *migrate* into their buckets, keeping their sequence numbers.
+//! Invariant: no far event lies inside the window unless a behind-cursor
+//! event sits at the far head. That head is the global minimum and pops
+//! next, and migration resumes right after it.
 //!
 //! Every pop compares the near-lane head against the far-lane head on the
 //! full `(time, seq)` key, so the observable order is *identical* to the
 //! reference single-heap implementation ([`HeapQueue`]) — property-tested
 //! in `simkit/tests/proptests.rs` against random push/pop interleavings,
-//! and micro-benched old-vs-new in `bench/benches/micro.rs`.
+//! idle gaps and batched pushes, and micro-benched old-vs-new in
+//! `bench/benches/micro.rs`.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
@@ -151,11 +168,14 @@ pub struct EventQueue<E> {
     /// Near-future ring; slot `g & NEAR_MASK` holds granule `g` whenever
     /// `cursor <= g < cursor + NEAR_BUCKETS`.
     buckets: Vec<Bucket<E>>,
+    /// Occupancy bitmask over the ring: bit `slot` is set iff
+    /// `buckets[slot]` is non-empty.
+    occupied: [u64; OCC_WORDS],
     /// Events currently in the near lane.
     near_len: usize,
-    /// Granule index the drain has reached; only advances.
+    /// Granule index the ring window starts at.
     cursor: u64,
-    /// Far timers and behind-cursor pushes.
+    /// Out-of-window timers and behind-cursor pushes.
     far: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     pushed_total: u64,
@@ -171,6 +191,9 @@ const fn granule(at: SimTime) -> u64 {
     at.as_nanos() >> GRANULE_SHIFT
 }
 
+/// Words of the occupancy bitmask (one bit per ring slot).
+const OCC_WORDS: usize = NEAR_BUCKETS / 64;
+
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
@@ -178,6 +201,7 @@ impl<E> EventQueue<E> {
         buckets.resize_with(NEAR_BUCKETS, Bucket::new);
         EventQueue {
             buckets,
+            occupied: [0; OCC_WORDS],
             near_len: 0,
             cursor: 0,
             far: BinaryHeap::new(),
@@ -210,18 +234,33 @@ impl<E> EventQueue<E> {
         self.far.reserve(cap / 4 + 16);
     }
 
+    /// Appends to the near lane; `g` must lie inside the ring window.
+    #[inline]
+    fn push_near(&mut self, g: u64, at: SimTime, seq: u64, event: E) {
+        let slot = (g & NEAR_MASK) as usize;
+        self.buckets[slot].push(at, seq, event);
+        self.occupied[slot >> 6] |= 1 << (slot & 63);
+        self.near_len += 1;
+    }
+
+    /// Routes one stamped event to its lane; `cursor` is `self.cursor`,
+    /// passed in so a batch loads it once.
+    #[inline]
+    fn insert(&mut self, cursor: u64, at: SimTime, seq: u64, event: E) {
+        let g = granule(at);
+        if g.wrapping_sub(cursor) < NEAR_BUCKETS as u64 {
+            self.push_near(g, at, seq, event);
+        } else {
+            self.far.push(Scheduled { at, seq, event });
+        }
+    }
+
     /// Schedules `event` to fire at `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pushed_total += 1;
-        let g = granule(at);
-        if g >= self.cursor && g - self.cursor < NEAR_BUCKETS as u64 {
-            self.buckets[(g & NEAR_MASK) as usize].push(at, seq, event);
-            self.near_len += 1;
-        } else {
-            self.far.push(Scheduled { at, seq, event });
-        }
+        self.insert(self.cursor, at, seq, event);
     }
 
     /// Schedules a batch of events, assigning sequence numbers in iterator
@@ -230,88 +269,127 @@ impl<E> EventQueue<E> {
     /// loop so the per-item work is one granule shift plus the bucket
     /// append (the monotone-append fast path of the near ring).
     pub fn push_batch<I: IntoIterator<Item = (SimTime, E)>>(&mut self, batch: I) {
+        // Pushes never move the cursor, so one load serves the batch.
         let cursor = self.cursor;
         let mut seq = self.next_seq;
         for (at, event) in batch {
-            let g = granule(at);
-            if g >= cursor && g - cursor < NEAR_BUCKETS as u64 {
-                self.buckets[(g & NEAR_MASK) as usize].push(at, seq, event);
-                self.near_len += 1;
-            } else {
-                self.far.push(Scheduled { at, seq, event });
-            }
+            self.insert(cursor, at, seq, event);
             seq += 1;
         }
         self.pushed_total += seq - self.next_seq;
         self.next_seq = seq;
     }
 
-    /// Finds the near-lane head: advances `cursor` to the first non-empty
-    /// bucket, sorts it if needed, and returns its minimal `(time, seq)`.
-    /// Caller must guarantee `near_len > 0`.
-    fn near_head(&mut self) -> (SimTime, u64) {
-        debug_assert!(self.near_len > 0);
-        loop {
-            let slot = (self.cursor & NEAR_MASK) as usize;
-            if self.buckets[slot].items.is_empty() {
-                self.buckets[slot].sorted = false;
-                self.cursor += 1;
-                continue;
-            }
-            let b = &mut self.buckets[slot];
-            b.ensure_sorted();
-            let (at, seq, _) = b.items.last().expect("non-empty bucket");
-            return (*at, *seq);
+    /// Slot of the first occupied bucket at or after the cursor's slot,
+    /// wrapping round the ring; `None` when the near lane is empty.
+    #[inline]
+    fn first_occupied(&self) -> Option<usize> {
+        let from = (self.cursor & NEAR_MASK) as usize;
+        // Dense fast path: the cursor's own bucket is usually the one
+        // draining, and its length is cheaper to test than the mask walk.
+        if !self.buckets[from].items.is_empty() {
+            return Some(from);
         }
+        let fw = from >> 6;
+        let w = self.occupied[fw] & (u64::MAX << (from & 63));
+        if w != 0 {
+            return Some(fw << 6 | w.trailing_zeros() as usize);
+        }
+        // The remaining words in ring order; the last one is `fw` again,
+        // whose bits at or after `from` are known clear, so any set bit
+        // there is a wrapped slot before `from`.
+        for i in 1..=OCC_WORDS {
+            let wi = (fw + i) % OCC_WORDS;
+            let w = self.occupied[wi];
+            if w != 0 {
+                return Some(wi << 6 | w.trailing_zeros() as usize);
+            }
+        }
+        None
+    }
+
+    /// Moves every far-heap event whose granule now lies inside the ring
+    /// window into its bucket, keeping its `seq`. Stops at the first heap
+    /// head outside the window — including a behind-cursor head, which is
+    /// the global minimum and pops next (and migration resumes after it).
+    fn migrate(&mut self) {
+        loop {
+            let Some(head) = self.far.peek_mut() else {
+                break;
+            };
+            let g = granule(head.at);
+            if g.wrapping_sub(self.cursor) >= NEAR_BUCKETS as u64 {
+                break;
+            }
+            let Scheduled { at, seq, event } = PeekMut::pop(head);
+            self.push_near(g, at, seq, event);
+        }
+    }
+
+    /// Finds the near-lane head: advances `cursor` to the first occupied
+    /// bucket (migrating far events the moved window now covers), sorts
+    /// that bucket if needed, and returns its slot and minimal
+    /// `(time, seq)`. `None` when the near lane is empty.
+    fn near_head(&mut self) -> Option<(usize, SimTime, u64)> {
+        let slot = self.first_occupied()?;
+        let step = (slot as u64).wrapping_sub(self.cursor) & NEAR_MASK;
+        if step != 0 {
+            self.cursor += step;
+            self.migrate();
+        }
+        let b = &mut self.buckets[slot];
+        b.ensure_sorted();
+        b.items.last().map(|&(at, seq, _)| (slot, at, seq))
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let near = if self.near_len > 0 {
-            Some(self.near_head())
-        } else {
-            None
-        };
+        if self.near_len == 0 {
+            // Resync: with the ring idle, jump the window to the far head
+            // so it and its near-future neighbours drain through buckets.
+            self.cursor = granule(self.far.peek()?.at);
+            self.migrate();
+        }
+        let near = self.near_head();
         let take_far = match (near, self.far.peek()) {
             (None, None) => return None,
             (None, Some(_)) => true,
             (Some(_), None) => false,
-            (Some((nat, nseq)), Some(f)) => (f.at, f.seq) < (nat, nseq),
+            (Some((_, nat, nseq)), Some(f)) => (f.at, f.seq) < (nat, nseq),
         };
-        if take_far {
-            let s = self.far.pop().expect("peeked above");
-            Some((s.at, s.event))
-        } else {
-            let slot = (self.cursor & NEAR_MASK) as usize;
-            let (at, _, event) = self.buckets[slot].items.pop().expect("near head exists");
-            if self.buckets[slot].items.is_empty() {
-                self.buckets[slot].sorted = false;
+        match near {
+            Some((slot, _, _)) if !take_far => {
+                let b = &mut self.buckets[slot];
+                let (at, _, event) = b.items.pop()?;
+                if b.items.is_empty() {
+                    b.sorted = false;
+                    self.occupied[slot >> 6] &= !(1 << (slot & 63));
+                }
+                self.near_len -= 1;
+                Some((at, event))
             }
-            self.near_len -= 1;
-            Some((at, event))
+            _ => {
+                let s = self.far.pop()?;
+                // The popped head may have been behind the cursor and
+                // blocking migration of in-window events queued after it.
+                self.migrate();
+                Some((s.at, s.event))
+            }
         }
     }
 
     /// The firing time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // Non-mutating: scan the ring window for the earliest bucket and
-        // take that bucket's minimum (no sorting).
-        let mut near: Option<SimTime> = None;
-        if self.near_len > 0 {
-            'outer: for off in 0..NEAR_BUCKETS as u64 {
-                let slot = ((self.cursor + off) & NEAR_MASK) as usize;
-                let b = &self.buckets[slot];
-                if b.items.is_empty() {
-                    continue;
-                }
-                near = if b.sorted {
-                    b.items.last().map(|(t, _, _)| *t)
-                } else {
-                    b.items.iter().map(|(t, _, _)| *t).min()
-                };
-                break 'outer;
+        // Non-mutating: the first occupied bucket holds the near-lane
+        // minimum; take it without sorting.
+        let near = self.first_occupied().and_then(|slot| {
+            let b = &self.buckets[slot];
+            if b.sorted {
+                b.items.last().map(|(t, _, _)| *t)
+            } else {
+                b.items.iter().map(|(t, _, _)| *t).min()
             }
-        }
+        });
         match (near, self.far.peek().map(|s| s.at)) {
             (None, f) => f,
             (n, None) => n,
@@ -347,6 +425,7 @@ impl<E> EventQueue<E> {
             b.items.clear();
             b.sorted = false;
         }
+        self.occupied = [0; OCC_WORDS];
         self.near_len = 0;
         self.far.clear();
     }
@@ -612,6 +691,121 @@ mod tests {
         for t in [7u64, 7, 2] {
             q.push(SimTime::from_nanos(t), t);
             fresh.push(SimTime::from_nanos(t), t);
+        }
+        loop {
+            let (a, b) = (q.pop(), fresh.pop());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// Ring window in nanoseconds.
+    const WINDOW: u64 = (NEAR_BUCKETS as u64) << GRANULE_SHIFT;
+
+    #[test]
+    fn idle_gap_resyncs_the_near_lane() {
+        // Drain across an idle gap of more than two ring windows: the next
+        // near-future push must land in the ring, not the far heap.
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(100), 0u32);
+        assert_eq!(q.pop().unwrap().1, 0);
+        let late = SimTime::from_nanos(100 + 2 * WINDOW + 5_000);
+        q.push(late, 1);
+        assert_eq!(q.near_len, 0, "beyond the window: far lane");
+        assert_eq!(q.pop(), Some((late, 1)));
+        q.push(late + crate::SimDuration::from_micros(1), 2);
+        assert_eq!(q.near_len, 1, "a push just after the gap must use the ring");
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn window_advance_migrates_far_events() {
+        // `b` is one granule beyond the window at push time; once draining
+        // moves the cursor to `c`'s granule, `b` must move into the ring.
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(0), "a");
+        q.push(SimTime::from_nanos(WINDOW + 500), "b");
+        q.push(SimTime::from_nanos(WINDOW - 2_000), "c");
+        assert_eq!((q.near_len, q.far.len()), (2, 1));
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(q.pop().unwrap().1, "c");
+        assert_eq!((q.near_len, q.far.len()), (1, 0));
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn behind_cursor_head_pops_then_migration_resumes() {
+        // A push behind the cursor sits at the far heap's head and blocks
+        // migration; popping it lets the in-window far event move in.
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(10 << GRANULE_SHIFT), "cursor");
+        let far = SimTime::from_nanos((10 << GRANULE_SHIFT) + WINDOW + 1);
+        q.push(far, "far");
+        assert_eq!(q.pop().unwrap().1, "cursor");
+        q.push(SimTime::from_nanos(5), "behind");
+        q.push(SimTime::from_nanos(20 << GRANULE_SHIFT), "near");
+        assert_eq!(q.pop().unwrap().1, "behind");
+        assert_eq!(q.pop().unwrap().1, "near");
+        assert_eq!(q.near_len, 1, "the far event migrated once unblocked");
+        assert_eq!(q.pop().unwrap().1, "far");
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn occupancy_search_wraps_round_the_ring() {
+        // Cursor near the ring's end: the next occupied slots lie before
+        // the cursor's slot in index order and must be found by wrapping.
+        let g = |n: u64| SimTime::from_nanos(n << GRANULE_SHIFT);
+        let mut q = EventQueue::new();
+        q.push(g(250), 0u32);
+        assert_eq!(q.pop().unwrap().1, 0);
+        q.push(g(NEAR_BUCKETS as u64 + 70), 1); // slot 70
+        q.push(g(NEAR_BUCKETS as u64 + 4), 2); // slot 4
+        q.push(g(255), 3); // slot 255
+        assert_eq!(q.near_len, 3);
+        assert_eq!(q.peek_time(), Some(g(255)));
+        assert_eq!(q.pop().unwrap().1, 3);
+        assert_eq!(q.peek_time(), Some(g(NEAR_BUCKETS as u64 + 4)));
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.occupied, [0; OCC_WORDS]);
+    }
+
+    #[test]
+    fn arena_reset_zeroes_occupancy_and_replays_like_fresh() {
+        use crate::arena::ArenaReset;
+        // Leave buckets occupied all round the ring (and far timers), then
+        // recycle: the reset queue must replay a gap-and-wrap timeline
+        // exactly like a fresh one, lane by lane.
+        let mut q = EventQueue::with_capacity(512);
+        for n in [3u64, 64, 130, 200, 255, 300, 5_000] {
+            q.push(SimTime::from_nanos(n << GRANULE_SHIFT), n);
+        }
+        q.pop();
+        q.arena_reset();
+        assert_eq!(q.occupied, [0; OCC_WORDS]);
+        assert_eq!((q.near_len, q.cursor), (0, 0));
+        let mut fresh = EventQueue::new();
+        let timeline = [
+            7u64,
+            200_000,
+            3 * WINDOW,
+            3 * WINDOW + 900,
+            WINDOW - 1,
+            3 * WINDOW,
+        ];
+        for (i, &t) in timeline.iter().enumerate() {
+            q.push(SimTime::from_nanos(t), i as u64);
+            fresh.push(SimTime::from_nanos(t), i as u64);
+            if i % 2 == 1 {
+                assert_eq!(q.pop(), fresh.pop());
+            }
+            assert_eq!((q.near_len, q.far.len()), (fresh.near_len, fresh.far.len()));
+            assert_eq!(q.peek_time(), fresh.peek_time());
         }
         loop {
             let (a, b) = (q.pop(), fresh.pop());

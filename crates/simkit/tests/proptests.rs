@@ -1,6 +1,7 @@
 //! Property-based tests for the simulation kit (dd-check harness).
 
 use dd_check::{check, prop_assert, prop_assert_eq};
+use simkit::event::{GRANULE_SHIFT, NEAR_BUCKETS};
 use simkit::{EventQueue, HeapQueue, KeyedMinHeap, SimRng, SimTime, Zipfian};
 
 /// Popping the event queue always yields non-decreasing times, and events
@@ -31,19 +32,42 @@ fn event_queue_total_order() {
     });
 }
 
+/// Ring window of the bucketed queue's near lane, in nanoseconds.
+const WINDOW: u64 = (NEAR_BUCKETS as u64) << GRANULE_SHIFT;
+
+/// Firing time for a push of horizon `class` issued at `now`.
+fn horizon(class: u32, delta: u64, now: u64) -> u64 {
+    match class {
+        0 => now + delta,               // near: ≤ ~4 µs ahead
+        1 => now + (delta << 8),        // mid: ≤ ~1 ms ahead
+        2 => now + (delta << 16),       // far beyond the window
+        3 => now.saturating_sub(delta), // behind the drain point
+        // Straddling the window's far edge: the last in-window granules
+        // sit in the ring slots just behind the cursor's slot, so finding
+        // them wraps the occupancy bitmask round the ring.
+        _ => now + WINDOW - 2048 + delta,
+    }
+}
+
 /// The bucketed [`EventQueue`] is order-equivalent to the single-heap
 /// reference ([`HeapQueue`]) under random push/pop interleavings whose
 /// horizons deliberately straddle the near-lane window: deltas from 0 ns
-/// up to milliseconds ahead of (and occasionally behind) the drain point.
+/// up to milliseconds ahead of (and occasionally behind) the drain point,
+/// pushes at the window's edge (bitmask wrap-around), idle gaps of two or
+/// more windows reached with the near lane empty (cursor resync, then
+/// far→near migration as the window moves), and `push_batch` steps.
 #[test]
 fn event_queue_matches_heap_reference() {
     check("event_queue_matches_heap_reference", |c| {
         let steps = c.vec_of(1, 300, |c| {
-            // (is_pop, horizon-class, delta-within-class)
+            // (is_pop, step-class, delta-within-class, batch horizons).
+            // Push classes: 0–4 one push at `horizon(class)`, 5 an idle
+            // gap, 6 a `push_batch` of the batch horizons.
             let pop = c.bool_with(0.45);
-            let class = c.u32_in(0, 3);
+            let class = c.u32_in(0, 7);
             let delta = c.u64_in(0, 4095);
-            (pop, class, delta)
+            let batch = c.vec_of(1, 5, |c| (c.u32_in(0, 5), c.u64_in(0, 4095)));
+            (pop, class, delta, batch)
         });
         let mut bucketed: EventQueue<u64> = EventQueue::new();
         let mut reference: HeapQueue<u64> = HeapQueue::new();
@@ -51,23 +75,51 @@ fn event_queue_matches_heap_reference() {
         // pushes may also land *behind* it (class 3) to exercise the
         // behind-cursor path.
         let mut now: u64 = 0;
-        for (i, &(pop, class, delta)) in steps.iter().enumerate() {
-            if pop {
-                let a = bucketed.pop();
-                let b = reference.pop();
-                prop_assert_eq!(a, b, "pop #{i} diverged: bucketed={a:?} reference={b:?}");
-                if let Some((t, _)) = a {
-                    now = now.max(t.as_nanos());
+        let mut id: u64 = 0;
+        for (i, (pop, class, delta, batch)) in steps.iter().enumerate() {
+            let idle_gap = !pop && *class == 5;
+            if *pop || idle_gap {
+                // An idle gap first drains both queues, so the event two or
+                // more windows out is reached with the near lane empty.
+                loop {
+                    let a = bucketed.pop();
+                    let b = reference.pop();
+                    prop_assert_eq!(
+                        a,
+                        b,
+                        "pop at step #{i} diverged: bucketed={a:?} reference={b:?}"
+                    );
+                    if let Some((t, _)) = a {
+                        now = now.max(t.as_nanos());
+                    }
+                    if !idle_gap || a.is_none() {
+                        break;
+                    }
                 }
-            } else {
-                let at = match class {
-                    0 => now + delta,               // near: ≤ ~4 µs ahead
-                    1 => now + (delta << 8),        // mid: ≤ ~1 ms ahead
-                    2 => now + (delta << 16),       // far beyond the window
-                    _ => now.saturating_sub(delta), // behind the drain point
-                };
-                bucketed.push(SimTime::from_nanos(at), i as u64);
-                reference.push(SimTime::from_nanos(at), i as u64);
+            }
+            if idle_gap {
+                let at = SimTime::from_nanos(now + 2 * WINDOW + (delta << 10));
+                bucketed.push(at, id);
+                reference.push(at, id);
+                id += 1;
+            } else if *class == 6 {
+                let items: Vec<(SimTime, u64)> = batch
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(bc, bd))| {
+                        (SimTime::from_nanos(horizon(bc, bd, now)), id + k as u64)
+                    })
+                    .collect();
+                id += items.len() as u64;
+                bucketed.push_batch(items.iter().copied());
+                for (at, e) in items {
+                    reference.push(at, e);
+                }
+            } else if !pop {
+                let at = SimTime::from_nanos(horizon(*class, *delta, now));
+                bucketed.push(at, id);
+                reference.push(at, id);
+                id += 1;
             }
             prop_assert_eq!(bucketed.len(), reference.len());
             prop_assert_eq!(bucketed.peek_time(), reference.peek_time());

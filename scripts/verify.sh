@@ -156,6 +156,15 @@ echo "== verify: no request lost under an aggressive fault schedule =="
 DD_CHECK_CASES=8 cargo test -q --release -p testbed --test fault_props
 echo "  fault conservation properties: ok"
 
+echo "== verify: event queue order-equivalent to the heap oracle (raised case count) =="
+# The calendar queue's resync, far->near migration and occupancy bitmask
+# must keep the single-heap (time, seq) pop order exactly
+# (crates/simkit/tests/proptests.rs: idle gaps, window-edge pushes that
+# wrap the bitmask, push_batch steps). Cheap per case, so the gate runs
+# far more cases than the default 64.
+DD_CHECK_CASES=4096 cargo test -q --release -p simkit --test proptests event_queue_matches_heap_reference
+echo "  EventQueue vs HeapQueue (4096 cases): ok"
+
 echo "== verify: tracing-off sweep throughput within noise of BENCH_sweep.json =="
 # The disabled sink must cost one predictable branch (see
 # trace/off_guarded_record in benches/micro.rs). Gate the end-to-end
@@ -235,6 +244,34 @@ if [ "$ALLOC_FAIL" = "1" ]; then
     exit 1
 fi
 echo "  ${ALLOC_FILES// /, }: no unallowlisted allocation constructors"
+
+echo "== verify: event-queue panic sites carry a why-it-cannot-fail note =="
+# ROADMAP robustness rule, scoped to the event queue: every non-test
+# `unwrap(`/`expect(` in event.rs needs a `cannot fail: <why>` comment on
+# its line or the line above, or must become a handled path. Comment
+# lines (docs and their examples) and the test module are exempt.
+PANIC_FILES="crates/simkit/src/event.rs"
+PANIC_FAIL=0
+for f in $PANIC_FILES; do
+    HITS="$(awk '
+        /#\[cfg\(test\)\]/ { exit }
+        $0 !~ /^[ \t]*\/\// && /unwrap\(|expect\(/ && $0 !~ /cannot fail:/ && prev !~ /cannot fail:/ {
+            print FILENAME ":" FNR ": " $0
+        }
+        { prev = $0 }
+    ' "$f")"
+    if [ -n "$HITS" ]; then
+        echo "verify: FAILED — unexplained unwrap/expect in $f:" >&2
+        echo "$HITS" >&2
+        PANIC_FAIL=1
+    fi
+done
+if [ "$PANIC_FAIL" = "1" ]; then
+    echo "(handle the None/Err path, or add a 'cannot fail: <why>' comment" >&2
+    echo " on or above the line)" >&2
+    exit 1
+fi
+echo "  ${PANIC_FILES// /, }: no unexplained unwrap/expect"
 
 echo "== verify: no external crates in any manifest =="
 if grep -rn --include=Cargo.toml -E '^(proptest|criterion|rand|serde|tokio)' . | grep -v target; then
