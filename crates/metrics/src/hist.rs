@@ -6,12 +6,41 @@
 //! the HdrHistogram bucketing scheme: values are grouped by binary order of
 //! magnitude, each split into `2^precision_bits` sub-buckets, which bounds
 //! the relative quantization error by `2^-precision_bits`.
+//!
+//! # Storage layout
+//!
+//! Order 0 holds the values `0..128` exactly, one sub-bucket each. A value
+//! of order ≥ 1 has its top bit above bit 6, so `ns >> order` always lands
+//! in the upper half `64..128` of the sub-bucket range: the lower half of
+//! every order ≥ 1 can never hold a sample. The counts therefore live in
+//! one flat `Vec<u64>` indexed by `(order << 6) + sub`. Order 0 keeps its
+//! 128 slots (`0..128`), and order `k ≥ 1` keeps only its 64 populated
+//! slots (`(k + 1) · 64 .. (k + 2) · 64`). The flat index is monotone in
+//! the value, so a walk over it visits buckets in the same order as a walk
+//! over `[order][sub]` with the empty halves removed.
+//!
+//! The vector stores only the 64-slot blocks that span the flat indices
+//! actually recorded: `counts[i]` is bucket `base + i`, where `base` and
+//! the length are multiples of 64. A tenant whose latencies span
+//! 100 µs–10 ms keeps 512 counters (4 KiB) instead of 18 orders × 128
+//! (18 KiB). The range grows a block or more at a time through
+//! `Vec::resize`, so growth is amortised, and `merge` adds over aligned
+//! ranges.
+//!
+//! The layout is exact: a percentile walk stops at the first bucket whose
+//! running count reaches the rank, and an empty bucket leaves the running
+//! count unchanged, so no empty bucket — stored or dropped — can be where
+//! a walk stops. Every query returns what the `[order][sub]` layout
+//! returns (an oracle property in `tests/proptests.rs` holds both to it).
 
 use simkit::SimDuration;
 
 /// Number of sub-bucket bits; relative error ≤ 2⁻⁷ ≈ 0.8 %.
 const PRECISION_BITS: u32 = 7;
 const SUB_BUCKETS: usize = 1 << PRECISION_BITS;
+/// Populated sub-buckets per order ≥ 1 (the upper half); also the
+/// alignment of the stored range's `base`.
+const HALF: usize = SUB_BUCKETS / 2;
 
 /// A histogram of [`SimDuration`] samples with ~0.8 % relative error.
 ///
@@ -30,8 +59,12 @@ const SUB_BUCKETS: usize = 1 << PRECISION_BITS;
 /// ```
 #[derive(Clone, Debug)]
 pub struct LatencyHistogram {
-    /// counts[order][sub] counts samples with that magnitude/sub-bucket.
-    counts: Vec<[u64; SUB_BUCKETS]>,
+    /// `counts[i]` counts the samples in flat bucket `base + i` (see the
+    /// module docs for the flat index).
+    counts: Vec<u64>,
+    /// Flat index of `counts[0]`; a multiple of [`HALF`], as is
+    /// `counts.len()`.
+    base: usize,
     total: u64,
     sum_ns: u128,
     min_ns: u64,
@@ -49,6 +82,7 @@ impl LatencyHistogram {
     pub fn new() -> Self {
         LatencyHistogram {
             counts: Vec::new(),
+            base: 0,
             total: 0,
             sum_ns: 0,
             min_ns: u64::MAX,
@@ -56,40 +90,66 @@ impl LatencyHistogram {
         }
     }
 
-    /// Maps a value to `(order, sub_bucket)` indices.
-    fn index_of(ns: u64) -> (usize, usize) {
+    /// Maps a value to its flat bucket index `(order << 6) + sub`.
+    fn index_of(ns: u64) -> usize {
         if ns < SUB_BUCKETS as u64 {
-            return (0, ns as usize);
+            return ns as usize;
         }
         // Highest bit position above the sub-bucket range decides the order.
         let order = (63 - ns.leading_zeros()) as usize - (PRECISION_BITS as usize - 1);
         // For order ≥ 1 only the top half of the sub-buckets
         // [SUB_BUCKETS/2, SUB_BUCKETS) is populated, as in HdrHistogram.
         let sub = (ns >> order) as usize;
-        debug_assert!((SUB_BUCKETS / 2..SUB_BUCKETS).contains(&sub));
-        (order, sub)
+        debug_assert!((HALF..SUB_BUCKETS).contains(&sub));
+        (order << 6) + sub
     }
 
-    /// Reconstructs a representative value (bucket midpoint) from indices.
-    fn value_of(order: usize, sub: usize) -> u64 {
-        if order == 0 {
-            return sub as u64;
+    /// Reconstructs a representative value (bucket midpoint) from a flat
+    /// index.
+    fn value_of(idx: usize) -> u64 {
+        if idx < SUB_BUCKETS {
+            return idx as u64;
         }
-        let base = ((SUB_BUCKETS / 2 + sub % (SUB_BUCKETS / 2)) as u64) << order;
+        let order = (idx >> 6) - 1;
+        let lower = ((HALF + idx % HALF) as u64) << order;
         // Midpoint of the bucket span to halve the max error.
-        base + (1u64 << order) / 2
+        lower + (1u64 << order) / 2
+    }
+
+    /// Widens the stored range to whole [`HALF`]-slot blocks covering flat
+    /// indices `lo..hi`. Growth at either end goes through `Vec::resize`,
+    /// so it is amortised.
+    #[cold]
+    fn cover(&mut self, lo: usize, hi: usize) {
+        let lo = lo - lo % HALF;
+        if self.counts.is_empty() {
+            self.base = lo;
+        } else if lo < self.base {
+            let shift = self.base - lo;
+            let len = self.counts.len();
+            self.counts.resize(len + shift, 0);
+            self.counts.copy_within(0..len, shift);
+            self.counts[..shift].fill(0);
+            self.base = lo;
+        }
+        let hi = hi.next_multiple_of(HALF);
+        if hi - self.base > self.counts.len() {
+            self.counts.resize(hi - self.base, 0);
+        }
     }
 
     /// Records one sample.
     pub fn record(&mut self, sample: SimDuration) {
         let ns = sample.as_nanos();
-        let (order, sub) = Self::index_of(ns);
-        // The `sub` for order > 0 is within the top half only; fold into the
-        // per-order array of SUB_BUCKETS entries.
-        if self.counts.len() <= order {
-            self.counts.resize(order + 1, [0; SUB_BUCKETS]);
+        let idx = Self::index_of(ns);
+        // One unsigned compare covers both ends (an index below `base`
+        // wraps to a huge offset) and the empty histogram.
+        let mut off = idx.wrapping_sub(self.base);
+        if off >= self.counts.len() {
+            self.cover(idx, idx + 1);
+            off = idx - self.base;
         }
-        self.counts[order][sub] += 1;
+        self.counts[off] += 1;
         self.total += 1;
         self.sum_ns += ns as u128;
         self.min_ns = self.min_ns.min(ns);
@@ -135,13 +195,11 @@ impl LatencyHistogram {
         }
         let rank = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (order, subs) in self.counts.iter().enumerate() {
-            for (sub, &c) in subs.iter().enumerate() {
-                seen += c;
-                if seen >= rank {
-                    let v = Self::value_of(order, sub);
-                    return SimDuration::from_nanos(v.clamp(self.min_ns, self.max_ns));
-                }
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                let v = Self::value_of(self.base + i);
+                return SimDuration::from_nanos(v.clamp(self.min_ns, self.max_ns));
             }
         }
         SimDuration::from_nanos(self.max_ns)
@@ -164,12 +222,13 @@ impl LatencyHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), [0; SUB_BUCKETS]);
-        }
-        for (order, subs) in other.counts.iter().enumerate() {
-            for (sub, &c) in subs.iter().enumerate() {
-                self.counts[order][sub] += c;
+        if !other.counts.is_empty() {
+            let len = other.counts.len();
+            self.cover(other.base, other.base + len);
+            // Both bases are multiples of HALF, so the ranges align.
+            let off = other.base - self.base;
+            for (dst, &c) in self.counts[off..off + len].iter_mut().zip(&other.counts) {
+                *dst += c;
             }
         }
         self.total += other.total;
@@ -181,6 +240,7 @@ impl LatencyHistogram {
     /// Clears all samples.
     pub fn reset(&mut self) {
         self.counts.clear();
+        self.base = 0;
         self.total = 0;
         self.sum_ns = 0;
         self.min_ns = u64::MAX;
@@ -295,6 +355,25 @@ mod tests {
         h.reset();
         assert!(h.is_empty());
         assert_eq!(h.max(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn stores_only_the_recorded_range() {
+        let mut h = LatencyHistogram::new();
+        // 600 µs and 1 ms share an order (2¹⁹ ns ≤ v < 2²⁰ ns): one block.
+        h.record(us(600));
+        h.record(us(1_000));
+        assert_eq!(h.base, LatencyHistogram::index_of(1_000_000) / HALF * HALF);
+        assert_eq!(h.counts.len(), HALF);
+        // A smaller sample extends the range downwards and keeps the counts.
+        h.record(us(10));
+        assert_eq!(h.base, LatencyHistogram::index_of(10_000) / HALF * HALF);
+        assert_eq!(h.counts.len() % HALF, 0);
+        assert_eq!(h.counts.iter().sum::<u64>(), 3);
+        assert_eq!(h.percentile(100.0), us(1_000));
+        assert!((h.percentile(1.0).as_micros_f64() - 10.0).abs() < 0.1);
+        h.reset();
+        assert!(h.counts.is_empty());
     }
 
     #[test]

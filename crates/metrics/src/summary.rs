@@ -14,8 +14,9 @@ use crate::hist::LatencyHistogram;
 pub struct TenantSummary {
     /// Stable tenant identifier assigned by the scenario.
     pub tenant_id: u64,
-    /// Class label used for aggregation (e.g. `"L"`, `"T"`).
-    pub class: String,
+    /// Class label used for aggregation (e.g. `"L"`, `"T"`). Labels are
+    /// static, so building a tenant allocates nothing for it.
+    pub class: &'static str,
     /// End-to-end I/O latency distribution (submission syscall → completion
     /// delivered to the tenant).
     pub latency: LatencyHistogram,
@@ -32,10 +33,10 @@ pub struct TenantSummary {
 
 impl TenantSummary {
     /// Creates an empty summary for a tenant.
-    pub fn new(tenant_id: u64, class: impl Into<String>) -> Self {
+    pub fn new(tenant_id: u64, class: &'static str) -> Self {
         TenantSummary {
             tenant_id,
-            class: class.into(),
+            class,
             latency: LatencyHistogram::new(),
             ios_completed: 0,
             bytes_completed: 0,
@@ -133,11 +134,11 @@ impl RunSummary {
     }
 
     /// All distinct class labels in deterministic (first-seen) order.
-    pub fn classes(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
+    pub fn classes(&self) -> Vec<&'static str> {
+        let mut out = Vec::new();
         for t in &self.tenants {
             if !out.contains(&t.class) {
-                out.push(t.class.clone());
+                out.push(t.class);
             }
         }
         out
@@ -236,7 +237,7 @@ mod tests {
     #[test]
     fn classes_in_first_seen_order() {
         let run = mk_run();
-        assert_eq!(run.classes(), vec!["L".to_string(), "T".to_string()]);
+        assert_eq!(run.classes(), vec!["L", "T"]);
     }
 
     #[test]

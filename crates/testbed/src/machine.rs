@@ -103,7 +103,6 @@ enum Driver {
 
 struct Tenant {
     pid: Pid,
-    class_label: &'static str,
     ionice: IoPriorityClass,
     core: u16,
     nsid: NamespaceId,
@@ -340,7 +339,6 @@ impl Machine {
             };
             tenants.push(Tenant {
                 pid,
-                class_label: spec.class_label,
                 ionice: spec.ionice,
                 core: spec.core,
                 nsid: spec.nsid,
@@ -698,7 +696,7 @@ impl Machine {
                 }
             }
         }
-        let class = tenant.class_label;
+        let class = tenant.summary.class;
         let core = tenant.core;
         let pid = tenant.pid;
         let cached_series = tenant.series_idx;
@@ -774,7 +772,7 @@ impl Machine {
         for i in 0..self.tenants.len() {
             let task = {
                 let t = &self.tenants[i];
-                TaskStruct::new(t.pid, t.core, t.ionice, t.nsid, t.class_label)
+                TaskStruct::new(t.pid, t.core, t.ionice, t.nsid, t.summary.class)
             };
             self.with_env(|stack, env| stack.register_tenant(&task, env));
         }
@@ -1010,15 +1008,20 @@ impl Machine {
             self.cpu
                 .busy_fractions(self.window_start, &self.cpu_baseline, window_end)
         };
+        // App workloads park their own scratch (popularity tables, page
+        // caches) before the tenants that own them are drained below.
+        for t in &mut self.tenants {
+            if let Driver::App { workload, .. } = &mut t.driver {
+                workload.park_scratch(arena);
+            }
+        }
         let summary = RunSummary {
             stack: self.stack.as_dyn_ref().name().to_string(),
             window_start: self.window_start,
             window_end,
-            tenants: self
-                .tenants
-                .iter()
-                .map(|t| t.summary.clone())
-                .collect(),
+            // Moved, not cloned: the drained vector keeps its capacity for
+            // the arena, and each histogram changes owner as it is.
+            tenants: self.tenants.drain(..).map(|t| t.summary).collect(),
             events_processed: self.events_processed,
             core_busy_frac,
         };
@@ -1063,13 +1066,6 @@ impl Machine {
         // itself is NOT parked — flash geometry, namespace tables, and fault
         // plans are per-scenario configuration, not recyclable scratch.
         self.stack.as_dyn().park_buffers(arena);
-        // App workloads park their own scratch (popularity tables, page
-        // caches) before the tenant vector — which owns them — is recycled.
-        for t in &mut self.tenants {
-            if let Driver::App { workload, .. } = &mut t.driver {
-                workload.park_scratch(arena);
-            }
-        }
         arena.put(0, self.queue);
         arena.put(0, self.cpu);
         arena.put(0, self.dev_out);

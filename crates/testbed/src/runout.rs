@@ -81,7 +81,7 @@ impl<'a> TenantView<'a> {
 
     /// SLA class label (`"L"`, `"T"`, `"app"`, …).
     pub fn class(&self) -> &'a str {
-        &self.t.class
+        self.t.class
     }
 
     /// I/Os issued within the measurement window.

@@ -13,17 +13,25 @@
 //! generation counter, a stale queue entry, or a trace sequence number
 //! fails the suite.
 
+use blkstack::IoPriorityClass;
 use dd_check::{check, prop_assert, prop_assert_eq};
+use dd_nvme::NamespaceId;
+use dd_workload::kvsim::KvConfig;
+use dd_workload::mailserver::MailConfig;
+use dd_workload::{ArrivalModel, FioJob, RwPattern, YcsbMix};
 use simkit::{FaultClasses, FaultSpec, SimDuration, TraceSpec};
-use testbed::scenario::{MachinePreset, Scenario, StackSpec};
+use testbed::scenario::{AppKind, MachinePreset, Scenario, StackSpec, TenantKind, TenantSpec};
 use testbed::{RunArena, RunOutput};
 
 /// Builds a random multi-tenant scenario: any stack, random tenant mix,
 /// random core count, zero warmup (so tallies cover the whole run), and —
-/// half the time each — span tracing (small ring, so eviction paths run
+/// half the time each — a small YCSB or mailserver app tenant, an
+/// open-loop FIO tenant, span tracing (small ring, so eviction paths run
 /// too) and an aggressive fault schedule. The variety matters: sweep
 /// workers hand one arena scenarios of *different* stacks and geometries
-/// back to back, so adoption must be invisible across all of them.
+/// back to back, so adoption must be invisible across all of them. The
+/// app tenant covers the teardown order too: app scratch is parked before
+/// the tenant summaries move out into the run's output.
 fn random_scenario(c: &mut dd_check::Case) -> Scenario {
     let stack = match c.u8_in(0, 4) {
         0 => StackSpec::vanilla(),
@@ -41,6 +49,50 @@ fn random_scenario(c: &mut dd_check::Case) -> Scenario {
     s.knobs.warmup = SimDuration::ZERO;
     s.knobs.measure = SimDuration::from_millis(measure_ms);
     s.sample_width = SimDuration::from_millis(measure_ms) / 8;
+    if c.u8_in(0, 2) == 1 {
+        let ops = c.u64_in(20, 200);
+        let app = if c.u8_in(0, 2) == 1 {
+            AppKind::Ycsb {
+                mix: YcsbMix::A,
+                config: KvConfig {
+                    keys: 2_000,
+                    cache_blocks: 200,
+                    memtable_entries: 20,
+                    ..KvConfig::default()
+                },
+                ops,
+            }
+        } else {
+            AppKind::Mailserver {
+                config: MailConfig {
+                    files: 500,
+                    cache_blocks: 400,
+                    ..MailConfig::default()
+                },
+                ops,
+            }
+        };
+        s.tenants.push(TenantSpec {
+            class_label: "app",
+            ionice: IoPriorityClass::RealTime,
+            core: c.u16_in(0, cores),
+            nsid: NamespaceId(1),
+            kind: TenantKind::App(app),
+            slo: None,
+        });
+    }
+    if c.u8_in(0, 2) == 1 {
+        let rate = c.u64_in(2_000, 50_000) as f64;
+        let job = FioJob::new(RwPattern::RandRead, 4096, 1).with_arrival(ArrivalModel::open(rate));
+        s.tenants.push(TenantSpec {
+            class_label: "L",
+            ionice: IoPriorityClass::RealTime,
+            core: c.u16_in(0, cores),
+            nsid: NamespaceId(1),
+            kind: TenantKind::Fio(job),
+            slo: Some(SimDuration::from_micros(200)),
+        });
+    }
     if c.u8_in(0, 2) == 1 {
         // Small cap half the time so the ring wraps and the recycled
         // sink's drop counter / sequence numbering is covered too.
@@ -77,12 +129,13 @@ fn digest(out: &RunOutput) -> String {
     for t in &out.summary.tenants {
         writeln!(
             d,
-            "tenant {} class={} issued={} completed={} bytes={} lat=({:?},{:?},{:?},{:?},{:?},{})",
+            "tenant {} class={} issued={} completed={} bytes={} slo_viol={} lat=({:?},{:?},{:?},{:?},{:?},{})",
             t.tenant_id,
             t.class,
             t.ios_issued,
             t.ios_completed,
             t.bytes_completed,
+            t.slo_violations,
             t.latency.mean(),
             t.latency.p50(),
             t.latency.p99(),

@@ -165,6 +165,16 @@ echo "== verify: event queue order-equivalent to the heap oracle (raised case co
 DD_CHECK_CASES=4096 cargo test -q --release -p simkit --test proptests event_queue_matches_heap_reference
 echo "  EventQueue vs HeapQueue (4096 cases): ok"
 
+echo "== verify: latency histogram answers as the two-level reference (raised case count) =="
+# The flat, range-trimmed histogram must return exactly what the old
+# [u64; 128]-per-order layout returned — count, mean, min, max, every
+# percentile on a grid, merges in both directions (empty, disjoint,
+# overlapping) — over samples weighted to the layout's edges
+# (crates/metrics/tests/proptests.rs). Cheap per case, so the gate runs
+# far more cases than the default 64.
+DD_CHECK_CASES=4096 cargo test -q --release -p dd-metrics --test proptests histogram_matches_two_level_reference
+echo "  LatencyHistogram vs two-level reference (4096 cases): ok"
+
 echo "== verify: tracing-off sweep throughput within noise of BENCH_sweep.json =="
 # The disabled sink must cost one predictable branch (see
 # trace/off_guarded_record in benches/micro.rs). Gate the end-to-end
